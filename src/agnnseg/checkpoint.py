@@ -8,9 +8,12 @@ hyperparameters ride along as rank-0 records under the ``meta.`` prefix.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+
+from .errors import FormatError
 
 MAGIC = b"AGNN"
 FORMAT_VERSION = 1
@@ -37,51 +40,47 @@ def write_checkpoint(path, named_arrays, meta=None):
 
 
 def read_checkpoint(path):
-    """Read back (tensors: dict name -> float64 array, meta: dict name -> float)."""
+    """Read back (tensors: dict name -> float64 array, meta: dict name -> float).
+
+    Malformed content raises :class:`FormatError` at the offending byte.
+    """
     with open(path, "rb") as f:
         blob = f.read()
-
-    def fail(pos, message):
-        raise ValueError(f"{path}: {message} at byte {pos}")
-
     if blob[:4] != MAGIC:
-        fail(0, f"bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FORMAT_VERSION:
-        fail(4, f"unsupported format version {version}")
-    pos = 8
+        raise FormatError(path, 0, f"bad magic {blob[:4]!r}")
+    pos = 4
     tensors = {}
     meta = {}
-    while pos < len(blob):
-        if pos + 4 > len(blob):
-            fail(pos, "truncated record header")
-        (name_len,) = struct.unpack_from("<I", blob, pos)
+    try:
+        (version,) = struct.unpack_from("<I", blob, pos)
+        if version != FORMAT_VERSION:
+            raise FormatError(path, pos, f"unsupported format version {version}")
         pos += 4
-        if pos + name_len > len(blob):
-            fail(pos, "truncated record name")
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        if pos + 4 > len(blob):
-            fail(pos, "truncated rank")
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if rank > 4:
-            fail(pos, f"rank {rank} exceeds 4")
-        dims = []
-        for _ in range(rank):
-            if pos + 4 > len(blob):
-                fail(pos, "truncated dims")
-            (dim,) = struct.unpack_from("<I", blob, pos)
-            dims.append(dim)
+        while pos < len(blob):
+            (name_len,) = struct.unpack_from("<I", blob, pos)
             pos += 4
-        count = int(np.prod(dims)) if dims else 1
-        nbytes = count * 8
-        if pos + nbytes > len(blob):
-            fail(pos, f"truncated payload: need {nbytes} bytes")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
-        pos += nbytes
-        if name.startswith(META_PREFIX):
-            meta[name[len(META_PREFIX) :]] = float(arr)
-        else:
-            tensors[name] = arr.astype(np.float64)
+            if pos + name_len > len(blob):
+                raise FormatError(path, pos, "truncated record name")
+            name = blob[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            (rank,) = struct.unpack_from("<I", blob, pos)
+            pos += 4
+            if rank > 4:
+                raise FormatError(path, pos, f"rank {rank} exceeds 4")
+            dims = []
+            for _ in range(rank):
+                dims.append(struct.unpack_from("<I", blob, pos)[0])
+                pos += 4
+            count = math.prod(dims)  # exact: numpy's int64 product can wrap to 0
+            nbytes = count * 8
+            if pos + nbytes > len(blob):
+                raise FormatError(path, pos, f"truncated payload: need {nbytes} bytes")
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
+            pos += nbytes
+            if name.startswith(META_PREFIX):
+                meta[name[len(META_PREFIX) :]] = float(arr)
+            else:
+                tensors[name] = arr.astype(np.float64)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FormatError(path, pos, f"truncated or malformed record ({exc})") from None
     return tensors, meta

@@ -1,8 +1,8 @@
 """Command-line entry point: gen-data, train, infer, eval.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 config parse error, 2 I/O error, 3 training divergence,
-4 checkpoint/config shape mismatch.
+0 success, 1 config parse error, 2 I/O error or malformed input file,
+3 training divergence, 4 checkpoint/config shape mismatch.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pnm
+from .errors import FormatError
 from .model import CheckpointMismatchError, load_model, save_model
 from .pipeline import DivergenceError, TrainConfig, evaluate, infer_video, iocs_infer, train
 from .synthdata import generate_dataset, load_manifest
@@ -233,7 +234,7 @@ def main(argv=None):
     except CheckpointMismatchError as exc:
         print(f"shape mismatch: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except OSError as exc:
+    except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, config
+from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, all_finite, config
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -52,24 +52,34 @@ def _require(cond, message):
 # convolution
 
 
-def _conv_out_len(n, k, pad, stride):
-    return (n + 2 * pad - k) // stride + 1
+def _im2col(x, kh, kw, stride, h_out, w_out):
+    """Patch matrix ``(h_out*w_out, kh*kw*c_in)`` of the zero-padded input.
 
-
-def _im2col(xpad, kh, kw, stride, h_out, w_out):
-    c_in = xpad.shape[2]
-    cols = np.empty((h_out, w_out, kh, kw, c_in), dtype=xpad.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[:, :, ky, kx, :] = xpad[
-                ky : ky + stride * h_out : stride,
-                kx : kx + stride * w_out : stride,
-                :,
-            ]
-    return cols.reshape(h_out * w_out, kh * kw * c_in)
+    Row ``oy*w_out + ox`` is the window at ``(oy*stride, ox*stride)`` in
+    ``(ky, kx, c)`` order.  A 1x1 stride-1 kernel just reshapes ``x``; any
+    other reads one read-only strided view of the padded input, and a single
+    copy makes it the contiguous matrix.
+    """
+    h, w, c_in = x.shape
+    if kh == kw == 1 and stride == 1:
+        return x.reshape(h * w, c_in)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    if ph or pw:
+        xpad = np.zeros((h + 2 * ph, w + 2 * pw, c_in), dtype=x.dtype)
+        xpad[ph : ph + h, pw : pw + w] = x
+        x = xpad
+    sy, sx, sc = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (h_out, w_out, kh, kw, c_in), (sy * stride, sx * stride, sy, sx, sc), writeable=False
+    )
+    # copy explicitly: for a one-pixel-wide input reshape would return an
+    # overlapping view, which matmul cannot hand to BLAS
+    return np.ascontiguousarray(windows).reshape(h_out * w_out, kh * kw * c_in)
 
 
 def _conv2d_forward(arrays, attrs):
+    """Convolution padded by ``(k - 1) // 2`` per side, so stride ``s`` keeps
+    ``ceil(n / s)`` positions: one GEMM over the patch matrix, saved for the VJP."""
     x = arrays[0]
     w = arrays[1]
     bias = arrays[2] if len(arrays) == 3 else None
@@ -77,23 +87,6 @@ def _conv2d_forward(arrays, attrs):
     _require(x.ndim == 3, f"conv2d input must be rank 3, got shape {x.shape}")
     _require(w.ndim == 4, f"conv2d kernel must be rank 4, got shape {w.shape}")
     kh, kw, c_in, c_out = w.shape
-    if kh == 1 and kw == 1 and stride == 1:
-        # pointwise fast path: one GEMM over flattened positions
-        _require(
-            x.shape[2] == c_in,
-            f"conv2d channel mismatch: input has {x.shape[2]} channels, kernel expects {c_in}",
-        )
-        if bias is not None:
-            _require(
-                bias.shape == (c_out,),
-                f"conv2d bias shape {bias.shape} does not match {c_out} output channels",
-            )
-        colmat = x.reshape(-1, c_in)
-        out = colmat @ w.reshape(c_in, c_out)
-        if bias is not None:
-            out = out + bias
-        saved = {"colmat": colmat, "w": w, "x_shape": x.shape, "has_bias": bias is not None}
-        return out.reshape(x.shape[0], x.shape[1], c_out), saved
     _require(
         kh in SUPPORTED_KERNEL_SIZES and kw in SUPPORTED_KERNEL_SIZES,
         f"conv2d kernel size {kh}x{kw} not in {SUPPORTED_KERNEL_SIZES}",
@@ -108,12 +101,8 @@ def _conv2d_forward(arrays, attrs):
             bias.shape == (c_out,),
             f"conv2d bias shape {bias.shape} does not match {c_out} output channels",
         )
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    h_out = _conv_out_len(x.shape[0], kh, ph, stride)
-    w_out = _conv_out_len(x.shape[1], kw, pw, stride)
-    _require(h_out >= 1 and w_out >= 1, f"conv2d output degenerate for input {x.shape[:2]}")
-    xpad = np.pad(x, ((ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x
-    colmat = _im2col(xpad, kh, kw, stride, h_out, w_out)
+    h_out, w_out = (x.shape[0] - 1) // stride + 1, (x.shape[1] - 1) // stride + 1
+    colmat = _im2col(x, kh, kw, stride, h_out, w_out)
     out = colmat @ w.reshape(kh * kw * c_in, c_out)
     if bias is not None:
         out = out + bias
@@ -415,7 +404,7 @@ def apply(kind, inputs, attrs=None):
         if not isinstance(t, Tensor):
             raise TypeError(f"{kind} input must be a Tensor, got {type(t).__name__}")
         data = t.data
-        if check and not np.isfinite(data.sum()):
+        if check and not all_finite(data):
             raise NonFiniteError(f"{kind} input contains NaN or Inf")
         arrays.append(data)
     out_arr, saved = op.forward(arrays, attrs)

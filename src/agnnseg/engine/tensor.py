@@ -40,6 +40,13 @@ class NonFiniteError(ValueError):
     """A tensor value left the finite range (NaN or Inf)."""
 
 
+def all_finite(arr):
+    """True when no element is NaN or Inf; one sum decides the common case."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # NaN and Inf propagate into the sum, but finite values can overflow it
+        return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
+
+
 def _tape_stack():
     stack = getattr(_local, "stack", None)
     if stack is None:
@@ -84,9 +91,7 @@ class Tensor:
             raise ValueError(f"tensor rank {arr.ndim} exceeds 4 (shape {arr.shape})")
         if 0 in arr.shape:
             raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
-        if config.check_finite and not np.isfinite(arr.sum()):
-            # a finite-valued sum certifies the array (NaN/Inf propagate);
-            # values big enough to overflow the sum are rejected alongside
+        if config.check_finite and not all_finite(arr):
             raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self.id = next(_id_counter)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import FormatError
+
 _WHITESPACE = b" \t\r\n\v\f"
 
 
@@ -43,7 +45,7 @@ class _Parser:
         self.path = path
 
     def fail(self, message):
-        raise ValueError(f"{self.path}: {message} at byte {self.pos}")
+        raise FormatError(self.path, self.pos, message)
 
     def skip_space_and_comments(self):
         while self.pos < len(self.blob):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pnm
+from .errors import FormatError
 
 SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
@@ -325,14 +326,17 @@ def load_manifest(root):
     if not path.is_file():
         raise OSError(f"no manifest at {path}")
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        split, video_id, num_frames, shape_class = parts
-        entries.append(ManifestEntry(split, video_id, int(num_frames), shape_class))
+    offset = 0
+    for lineno, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
+        if line.strip():
+            try:
+                split, video_id, num_frames, shape_class = line.split("\t")
+                entries.append(ManifestEntry(split, video_id, int(num_frames), shape_class))
+            except ValueError:
+                message = f"line {lineno}: expected 4 tab-separated fields, the third an integer"
+                raise FormatError(path, offset, message) from None
+        offset += len(raw)
     manifest = DatasetManifest(root, entries)
     for e in entries:
         vdir = manifest.video_dir(e)

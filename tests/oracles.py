@@ -47,6 +47,19 @@ def conv2d_loops(x, w, bias=None, stride=1):
     return out
 
 
+def chebyshev_dilate_loops(mask, radius):
+    """True where a foreground pixel lies within Chebyshev distance radius."""
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            for ty in range(h):
+                for tx in range(w):
+                    if mask[ty, tx] and max(abs(y - ty), abs(x - tx)) <= radius:
+                        out[y, x] = True
+    return out
+
+
 def row_softmax_loops(a):
     m, n = a.shape
     out = np.zeros_like(a, dtype=float)

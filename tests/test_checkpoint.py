@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from agnnseg.checkpoint import read_checkpoint, write_checkpoint
+from agnnseg.errors import FormatError
 from agnnseg.model import CheckpointMismatchError, init_model, load_model, save_model
 
 
@@ -49,6 +50,14 @@ class TestWireFormat:
         path = tmp_path / "bad.agnn"
         path.write_bytes(b"NOPE" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
+            read_checkpoint(path)
+
+    def test_dims_whose_product_overflows_int64_rejected(self, tmp_path):
+        path = tmp_path / "huge.agnn"
+        # version 1, a one-byte name, rank 4, each dim 2**16: 2**64 elements
+        header = b"AGNN" + struct.pack("<2I", 1, 1) + b"w" + struct.pack("<I", 4)
+        path.write_bytes(header + struct.pack("<4I", *[2**16] * 4) + b"\x00" * 8)
+        with pytest.raises(FormatError, match="truncated payload"):
             read_checkpoint(path)
 
     def test_truncated_payload_reports_position(self, tmp_path):

@@ -198,3 +198,48 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
                      "--split", "absent"])
         assert code == 2
+
+
+class TestMalformedFiles:
+    """Malformed input files end with exit code 2 and a message naming the file."""
+
+    def assert_format_error(self, capsys, code, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and "at byte" in err
+        return err
+
+    def infer(self, checkpoint, video_dir, tmp_path):
+        return main(["infer", "--checkpoint", str(checkpoint), "--video-dir", str(video_dir),
+                     "--out", str(tmp_path / "o")])
+
+    def test_checkpoint_bad_magic(self, tmp_path, tiny_dataset, capsys):
+        bad = tmp_path / "bad.agnn"
+        bad.write_bytes(b"NOPE" + b"\x00" * 8)
+        code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
+        self.assert_format_error(capsys, code, bad)
+
+    def test_checkpoint_without_version_word(self, tmp_path, tiny_dataset, capsys):
+        bad = tmp_path / "short.agnn"
+        bad.write_bytes(b"AGNN\x01\x00")
+        code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
+        self.assert_format_error(capsys, code, bad)
+
+    def test_truncated_frame(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys):
+        vdir = tmp_path / "vid"
+        vdir.mkdir()
+        frame = vdir / "frame_0000.ppm"
+        frame.write_bytes((tiny_dataset / "test" / "video_0000" / "frame_0000.ppm").read_bytes()[:-5])
+        code = self.infer(tiny_checkpoint, vdir, tmp_path)
+        self.assert_format_error(capsys, code, frame)
+
+    def test_manifest_line_with_wrong_field_count(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = data / "manifest.txt"
+        first = "train\tvideo_0000\t4\tellipse\n"
+        manifest.write_text(first + "test\tvideo_0000\t4\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        err = self.assert_format_error(capsys, code, manifest)
+        assert "line 2: expected 4 tab-separated fields" in err
+        assert err.rstrip().endswith(f"at byte {len(first)}")

@@ -1,7 +1,11 @@
 """Forward contracts, backward correctness, and tape behaviour of the engine."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnnseg import engine
 from agnnseg.engine import (
@@ -38,6 +42,24 @@ class TestTensor:
 
     def test_scalar_allowed(self):
         assert Tensor(3.0).shape == ()
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        big = np.full(4, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(Tensor(big).data, big)
+            np.testing.assert_array_equal(apply("relu", [Tensor(big)]).data, big)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_among_huge_values_rejected(self, bad):
+        arr = np.full(4, 1e308)
+        arr[2] = bad
+        with pytest.raises(NonFiniteError):
+            Tensor(arr)
+        x = Tensor(np.full(4, 1e308))
+        x.data[2] = bad  # mutate after construction to reach the apply check
+        with pytest.raises(NonFiniteError):
+            apply("relu", [x])
 
 
 class TestForwardContracts:
@@ -80,6 +102,23 @@ class TestForwardContracts:
     def test_conv_shape_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
             apply("conv2d", [t(np.zeros((4, 4, 2))), t(np.zeros((3, 3, 3, 1)))])
+
+    @pytest.mark.parametrize(
+        "w_shape, b_shape, stride, match",
+        [
+            ((2, 2, 2, 1), None, 1, "kernel size 2x2"),
+            ((3, 3, 2, 1), None, 3, "stride 3"),
+            ((1, 1, 3, 1), None, 1, "channel mismatch"),
+            ((3, 3, 2, 4), (3,), 2, "bias shape"),
+            ((1, 1, 2, 4), (3,), 1, "bias shape"),
+        ],
+    )
+    def test_conv_rejections(self, w_shape, b_shape, stride, match):
+        inputs = [t(np.zeros((4, 4, 2))), t(np.zeros(w_shape))]
+        if b_shape is not None:
+            inputs.append(t(np.zeros(b_shape)))
+        with pytest.raises(ValueError, match=match):
+            apply("conv2d", inputs, {"stride": stride})
 
     def test_matmul_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -131,6 +170,47 @@ class TestForwardContracts:
     def test_weighted_bce_binary_target_required(self):
         with pytest.raises(ValueError, match="binary"):
             apply("weighted_bce", [t(np.full((2, 2), 0.5))], {"target": np.full((2, 2), 0.5), "eta": 0.5})
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from((1, 3)))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    h, w, c_in, c_out = (draw(st.integers(1, hi)) for hi in (9, 9, 5, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.normal(size=(h, w, c_in))
+    else:
+        x = rng.normal(size=(w, h, c_in)).transpose(1, 0, 2)  # non-contiguous view
+    kernel = rng.normal(size=(k, k, c_in, c_out))
+    bias = rng.normal(size=c_out) if draw(st.booleans()) else None
+    return x, kernel, bias, stride
+
+
+class TestConvProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_forward_matches_loop_oracle(self, case):
+        x, w, b, stride = case
+        inputs = [t(x), t(w)] + ([] if b is None else [t(b)])
+        got = apply("conv2d", inputs, {"stride": stride}).data
+        np.testing.assert_allclose(got, oracles.conv2d_loops(x, w, b, stride), rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_vjp_is_the_adjoint(self, case):
+        # conv is bilinear: <g, conv(x, w)> = <g_x, x> = <g_w, w>
+        x, w, _, stride = case
+        xt, wt = t(x), t(w)
+        with Tape() as tape:
+            y = apply("conv2d", [xt, wt], {"stride": stride}).data
+        g = np.random.default_rng(0).normal(size=y.shape)
+        grads = backward(tape, g)
+        # every product term bounded in magnitude: the rounding scale
+        scale = np.sum(np.abs(g) * oracles.conv2d_loops(np.abs(x), np.abs(w), None, stride))
+        forward = np.sum(g * y)
+        for grad, arg in ((grads[xt], x), (grads[wt], w)):
+            assert abs(np.sum(grad * arg) - forward) <= 1e-10 * scale
 
 
 class TestBackwardTrivial:

@@ -1,14 +1,23 @@
 """Closed-form cases and a brute-force distance check for the metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from agnnseg import metrics
 from agnnseg.metrics import (
     boundary_f,
     boundary_pixels,
     default_boundary_tolerance,
+    dilate,
     region_similarity,
 )
+
+import oracles
 
 
 def square_mask(h, w, top, left, size):
@@ -88,6 +97,19 @@ class TestBoundaryF:
                 got = boundary_f(a, b, tolerance=tol)
                 want = _brute_force_f(a, b, tol)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.data(),
+        arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
+        st.integers(0, 4),
+    )
+    def test_dilation_and_f_match_chebyshev_oracle(self, data, a, radius):
+        b = data.draw(arrays(np.bool_, a.shape))
+        np.testing.assert_array_equal(dilate(a, radius), oracles.chebyshev_dilate_loops(a, radius))
+        with mock.patch.object(metrics, "dilate", oracles.chebyshev_dilate_loops):
+            want = boundary_f(a, b, tolerance=radius)
+        assert boundary_f(a, b, tolerance=radius) == want
 
     def test_default_tolerance(self):
         assert default_boundary_tolerance((64, 64)) == 1
