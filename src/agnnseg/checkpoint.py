@@ -3,7 +3,8 @@
 Record layout (all integers little-endian u32): name length, name bytes
 (utf-8), rank, one u32 per dim, then the payload as little-endian float64
 in row-major order.  Scalars are rank 0 with a single float.  Model
-hyperparameters ride along as rank-0 records under the ``meta.`` prefix.
+hyperparameters ride along as rank-0 records under the ``meta.`` prefix; a
+``meta.`` record of any other rank is malformed.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def read_checkpoint(path):
             name = blob[pos : pos + name_len].decode("utf-8")
             pos += name_len
             (rank,) = struct.unpack_from("<I", blob, pos)
+            if rank and name.startswith(META_PREFIX):
+                raise FormatError(path, pos, f"meta record {name!r} has rank {rank}, must be 0")
             pos += 4
             if rank > 4:
                 raise FormatError(path, pos, f"rank {rank} exceeds 4")

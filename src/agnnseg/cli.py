@@ -147,18 +147,17 @@ def _load_frames_dir(video_dir):
     paths = sorted(Path(video_dir).glob("frame_*.ppm"))
     if not paths:
         raise OSError(f"no frame_*.ppm files in {video_dir}")
-    return [pnm.read_ppm(p).astype(float) / 255.0 for p in paths]
+    return pnm.read_stack(paths, pnm.read_ppm) / 255.0
 
 
 def cmd_infer(args):
     params, meta = load_model(args.checkpoint)
     frames = _load_frames_dir(args.video_dir)
     d = params.downsample
-    for frame in frames:
-        if frame.shape[0] % d or frame.shape[1] % d:
-            raise CheckpointMismatchError(
-                f"frame size {frame.shape[:2]} not divisible by model downsample {d}"
-            )
+    if frames.shape[1] % d or frames.shape[2] % d:
+        raise CheckpointMismatchError(
+            f"frame size {frames.shape[1:3]} not divisible by model downsample {d}"
+        )
     k_iters = int(meta["k_iters"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

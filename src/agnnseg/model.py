@@ -102,11 +102,18 @@ def save_model(path, params: ModelParameters, k_iters=3):
 
 
 def load_model(path):
-    """Rebuild ModelParameters from a checkpoint; returns (params, meta)."""
+    """Rebuild ModelParameters from a checkpoint; returns (params, meta).
+
+    Every meta value must be a finite whole number of at least 1.
+    """
     tensors, meta = ckpt.read_checkpoint(path)
     for key in ("channels", "downsample", "k_iters"):
         if key not in meta:
             raise CheckpointMismatchError(f"{path}: missing meta.{key} record")
+        if not (meta[key].is_integer() and meta[key] >= 1):
+            raise CheckpointMismatchError(
+                f"{path}: meta.{key} is {meta[key]}, expected a whole number >= 1"
+            )
     channels = int(meta["channels"])
     downsample = int(meta["downsample"])
     try:

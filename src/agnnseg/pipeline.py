@@ -86,10 +86,6 @@ class SGD:
             tensor.data = tensor.data + v
 
 
-def _grid_targets(masks, downsample):
-    return [downsample_mask(m, downsample) for m in masks]
-
-
 def dynamic_batch_loss(batch, params, config: TrainConfig):
     """Mean frame loss over one graph per video in the batch."""
     stats = []
@@ -120,7 +116,7 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
     canvas = videos[0][0].shape[1]
     if canvas % downsample:
         raise ValueError(f"canvas {canvas} not divisible by downsample factor {downsample}")
-    grid_targets = [_grid_targets(masks, downsample) for _, masks in videos]
+    grid_targets = [downsample_mask(masks, downsample) for _, masks in videos]
 
     if params is None:
         params = init_model(channels=channels, downsample=downsample, seed=config.seed)
@@ -278,9 +274,8 @@ def evaluate(dataset, params: ModelParameters, split="test", n_prime=5, k_iters=
         frames, masks = load_video(manifest, entry)
         probs = infer_video(list(frames), params, n_prime=n_prime, k_iters=k_iters, gated=gated)
         js, fs = [], []
-        for prob, mask in zip(probs, masks):
+        for prob, gt in zip(probs, downsample_mask(masks, d)):
             pred = prob > threshold
-            gt = downsample_mask(mask, d)
             js.append(metrics.region_similarity(pred, gt))
             fs.append(metrics.boundary_f(pred, gt))
         rows.append((entry.video_id, float(np.mean(js)), float(np.mean(fs))))

@@ -3,16 +3,23 @@
 Writers emit the minimal canonical header ``P6\\n<w> <h>\\n255\\n`` so a
 write-read round trip is byte-exact.  The reader accepts standard whitespace
 and ``#`` comments in the header, requires maxval 255, and reports the byte
-position of anything malformed.
+position of anything malformed.  Each header integer is matched, with the
+whitespace and comments before it, by one compiled regular expression.
+``read_stack`` decodes a whole video's files, all of one size, into one
+preallocated uint8 array.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .errors import FormatError
 
 _WHITESPACE = b" \t\r\n\v\f"
+# whitespace and comments (a comment runs to the next newline), then digits
+_HEADER_INT = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*)*(\d*)")
 
 
 def write_ppm(path, pixels):
@@ -47,29 +54,20 @@ class _Parser:
     def fail(self, message):
         raise FormatError(self.path, self.pos, message)
 
-    def skip_space_and_comments(self):
-        while self.pos < len(self.blob):
-            c = self.blob[self.pos : self.pos + 1]
-            if c in _WHITESPACE:
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.blob) and self.blob[self.pos : self.pos + 1] != b"\n":
-                    self.pos += 1
-            else:
-                return
-
     def read_int(self):
-        self.skip_space_and_comments()
-        start = self.pos
-        while self.pos < len(self.blob) and self.blob[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        match = _HEADER_INT.match(self.blob, self.pos)
+        self.pos = match.end()
+        digits = match.group(1)
+        if not digits:
             self.fail("expected an integer")
-        return int(self.blob[start : self.pos])
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            self.fail(f"integer of {len(digits)} digits is too long")
 
 
 def _read_pnm(path, magic, samples):
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:  # one read of the whole file, no buffer object
         blob = f.read()
     p = _Parser(blob, path)
     if blob[:2] != magic:
@@ -107,3 +105,25 @@ def read_ppm(path):
 def read_pgm(path):
     """Read a binary P5 file into an (H, W) uint8 array."""
     return _read_pnm(path, b"P5", 1)
+
+
+def read_stack(paths, read, ref=None):
+    """Decode files of one size with ``read`` (``read_ppm`` or ``read_pgm``).
+
+    Returns one (T, H, W, 3) or (T, H, W) uint8 array, filled file by file
+    into a buffer sized from the first file.  Every file must have the
+    height and width of ``ref``, a (path, shape) pair, or else of the first
+    file; one that does not raises FormatError naming it and both sizes.
+    """
+    paths = list(paths)
+    first = read(paths[0])
+    ref_path, ref_shape = ref or (paths[0], first.shape)
+    ref_h, ref_w = ref_shape[:2]
+    out = np.empty((len(paths),) + first.shape, dtype=np.uint8)
+    for t, path in enumerate(paths):
+        arr = read(path) if t else first
+        if arr.shape[:2] != (ref_h, ref_w):
+            h, w = arr.shape[:2]
+            raise FormatError(path, 0, f"size {w}x{h} differs from {ref_w}x{ref_h} of {ref_path}")
+        out[t] = arr
+    return out

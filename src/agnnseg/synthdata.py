@@ -320,7 +320,10 @@ def write_manifest(manifest: DatasetManifest):
 
 
 def load_manifest(root):
-    """Read manifest.txt and verify every referenced frame/mask file exists."""
+    """Read manifest.txt and verify every referenced frame/mask file exists.
+
+    Every video must have at least one frame.
+    """
     root = Path(root)
     path = root / "manifest.txt"
     if not path.is_file():
@@ -332,10 +335,14 @@ def load_manifest(root):
         if line.strip():
             try:
                 split, video_id, num_frames, shape_class = line.split("\t")
-                entries.append(ManifestEntry(split, video_id, int(num_frames), shape_class))
+                count = int(num_frames)
             except ValueError:
-                message = f"line {lineno}: expected 4 tab-separated fields, the third an integer"
-                raise FormatError(path, offset, message) from None
+                count = 0
+            if count < 1:
+                message = (f"line {lineno}: expected 4 tab-separated fields, "
+                           "the third an integer of at least 1")
+                raise FormatError(path, offset, message)
+            entries.append(ManifestEntry(split, video_id, count, shape_class))
         offset += len(raw)
     manifest = DatasetManifest(root, entries)
     for e in entries:
@@ -348,14 +355,20 @@ def load_manifest(root):
 
 
 def load_video(manifest: DatasetManifest, entry: ManifestEntry):
-    """Frames as float64 in [0, 1] and masks as booleans."""
+    """Frames as a (T, H, W, 3) float64 array in [0, 1], masks as (T, H, W) bools.
+
+    Each file is decoded once into a uint8 stack; one division by 255 (exact
+    for every uint8 value) and one threshold at 128 then cover the video.  A
+    frame or mask whose size differs from the first frame's raises
+    FormatError naming it and both sizes.
+    """
     vdir = manifest.video_dir(entry)
-    frames = []
-    masks = []
-    for t in range(entry.num_frames):
-        frames.append(pnm.read_ppm(vdir / f"frame_{t:04d}.ppm").astype(float) / 255.0)
-        masks.append(pnm.read_pgm(vdir / f"mask_{t:04d}.pgm") >= 128)
-    return np.stack(frames), np.stack(masks)
+    steps = range(entry.num_frames)
+    frame_paths = [vdir / f"frame_{t:04d}.ppm" for t in steps]
+    mask_paths = [vdir / f"mask_{t:04d}.pgm" for t in steps]
+    frames = pnm.read_stack(frame_paths, pnm.read_ppm)
+    masks = pnm.read_stack(mask_paths, pnm.read_pgm, ref=(frame_paths[0], frames.shape[1:]))
+    return frames / 255.0, masks >= 128
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +399,23 @@ def sample_training_clip(frames, n_prime, seed):
 
 
 def downsample_mask(mask, factor):
-    """Majority vote per factor-sized block; exact ties count as foreground."""
-    arr = np.asarray(mask).astype(bool)
-    if arr.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    h, w = arr.shape
+    """Majority vote per factor-sized block of the last two axes of (..., H, W).
+
+    Exact ties count as foreground.  Votes are counted with strided
+    slice-adds into int32 accumulators, first over the rows of each block
+    and then over its columns, so a whole video's masks take 2 * factor adds.
+    """
+    arr = np.asarray(mask, dtype=bool)
+    if arr.ndim < 2:
+        raise ValueError(f"mask must be at least 2-D, got shape {arr.shape}")
+    h, w = arr.shape[-2:]
     if h % factor or w % factor:
         raise ValueError(f"mask dims {arr.shape} not divisible by factor {factor}")
-    blocks = arr.reshape(h // factor, factor, w // factor, factor).sum(axis=(1, 3))
-    return 2 * blocks >= factor * factor
+    lead = arr.shape[:-2]
+    rows = np.zeros(lead + (h // factor, w), dtype=np.int32)
+    for dy in range(factor):
+        rows += arr[..., dy::factor, :]
+    votes = np.zeros(lead + (h // factor, w // factor), dtype=np.int32)
+    for dx in range(factor):
+        votes += rows[..., dx::factor]
+    return 2 * votes >= factor * factor

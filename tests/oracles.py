@@ -180,3 +180,74 @@ def block_majority_loops(mask, factor):
                     count += int(mask[by * factor + y, bx * factor + x])
             out[by, bx] = 2 * count >= factor * factor
     return out
+
+
+class PnmLoopsError(Exception):
+    """A malformed PNM blob, with the byte offset the loop parser stopped at."""
+
+    def __init__(self, offset, message):
+        super().__init__(f"{message} at byte {offset}")
+        self.offset = offset
+        self.message = message
+
+
+_PNM_WHITESPACE = b" \t\r\n\v\f"
+
+
+def read_pnm_loops(blob, magic, samples):
+    """Byte-at-a-time P5/P6 header parse and payload decode.
+
+    Header whitespace and ``#`` comments are skipped one byte at a time and
+    integers are read digit by digit; errors carry the same messages and
+    byte offsets ``agnnseg.pnm`` gives.
+    """
+    pos = 0
+
+    def fail(message):
+        raise PnmLoopsError(pos, message)
+
+    def read_int():
+        nonlocal pos
+        while pos < len(blob):
+            c = blob[pos : pos + 1]
+            if c in _PNM_WHITESPACE:
+                pos += 1
+            elif c == b"#":
+                while pos < len(blob) and blob[pos : pos + 1] != b"\n":
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(blob) and blob[pos : pos + 1].isdigit():
+            pos += 1
+        if pos == start:
+            fail("expected an integer")
+        return int(blob[start:pos])
+
+    if blob[:2] != magic:
+        fail(f"bad magic {blob[:2]!r}, expected {magic!r}")
+    pos = 2
+    width = read_int()
+    height = read_int()
+    if width <= 0 or height <= 0:
+        fail(f"bad dimensions {width}x{height}")
+    maxval = read_int()
+    if maxval != 255:
+        fail(f"maxval {maxval} unsupported, must be 255")
+    if pos >= len(blob) or blob[pos : pos + 1] not in _PNM_WHITESPACE:
+        fail("expected single whitespace before payload")
+    pos += 1
+    expected = width * height * samples
+    have = len(blob) - pos
+    if have < expected:
+        pos = len(blob)
+        fail(f"payload truncated: need {expected} bytes, have {have}")
+    if have > expected:
+        pos += expected
+        fail(f"trailing data: {have - expected} extra bytes")
+    out = np.zeros((height, width, samples), dtype=np.uint8)
+    for y in range(height):
+        for x in range(width):
+            for s in range(samples):
+                out[y, x, s] = blob[pos + (y * width + x) * samples + s]
+    return out[:, :, 0] if samples == 1 else out

@@ -4,10 +4,35 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnnseg.checkpoint import read_checkpoint, write_checkpoint
 from agnnseg.errors import FormatError
 from agnnseg.model import CheckpointMismatchError, init_model, load_model, save_model
+
+
+def _valid_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "valid.agnn"
+    write_checkpoint(path, [("a.w", np.arange(6.0).reshape(2, 3)), ("alpha", np.asarray(0.5))],
+                     meta={"k_iters": 3})
+    return path.read_bytes()
+
+
+@st.composite
+def checkpoint_bytes(draw, valid):
+    """Random bytes, or a valid checkpoint cut short, overwritten or extended."""
+    kind = draw(st.sampled_from(["random", "cut", "overwrite", "extend"]))
+    if kind == "random":
+        return draw(st.one_of(st.binary(max_size=64),
+                              st.binary(max_size=48).map(lambda b: b"AGNN\x01\x00\x00\x00" + b)))
+    if kind == "cut":
+        return valid[: draw(st.integers(0, len(valid)))]
+    if kind == "extend":
+        return valid + draw(st.binary(min_size=1, max_size=24))
+    at = draw(st.integers(0, len(valid) - 1))
+    patch = draw(st.binary(min_size=1, max_size=4))
+    return valid[:at] + patch + valid[at + len(patch):]
 
 
 class TestWireFormat:
@@ -69,6 +94,32 @@ class TestWireFormat:
             read_checkpoint(path)
 
 
+    def test_meta_record_of_rank_one_rejected(self, tmp_path):
+        path = tmp_path / "m.agnn"
+        write_checkpoint(path, [("meta.k_iters", np.array([3.0, 3.0]))])
+        # magic, version, name length, 12-byte name: the rank word is at byte 24
+        with pytest.raises(FormatError, match="meta record 'meta.k_iters' has rank 1.*byte 24"):
+            read_checkpoint(path)
+
+    def test_any_bytes_give_records_or_format_error(self, tmp_path_factory):
+        valid = _valid_blob(tmp_path_factory)
+        path = tmp_path_factory.mktemp("fuzz") / "blob.agnn"
+
+        @given(blob=checkpoint_bytes(valid))
+        @settings(max_examples=400, deadline=None)
+        def check(blob):
+            path.write_bytes(blob)
+            try:
+                tensors, meta = read_checkpoint(path)
+            except FormatError as exc:
+                assert exc.path == path and 0 <= exc.offset <= len(blob)
+            else:
+                assert all(a.dtype == np.float64 for a in tensors.values())
+                assert all(isinstance(v, float) for v in meta.values())
+
+        check()
+
+
 class TestModelRoundTrip:
     def test_save_load_bit_identical(self, tmp_path):
         params = init_model(channels=6, downsample=4, seed=9)
@@ -105,3 +156,18 @@ class TestModelRoundTrip:
         save_model(tmp_path / "a.agnn", params)
         save_model(tmp_path / "b.agnn", params)
         assert (tmp_path / "a.agnn").read_bytes() == (tmp_path / "b.agnn").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("channels", float("nan")),
+        ("k_iters", -1),
+        ("k_iters", 2.5),
+        ("downsample", float("inf")),
+        ("channels", 0),
+    ])
+    def test_meta_that_is_not_a_whole_number_from_one_rejected(self, tmp_path, key, value):
+        params = init_model(channels=4, downsample=4, seed=0)
+        meta = {"channels": 4, "downsample": 4, "k_iters": 3, key: value}
+        path = tmp_path / "badmeta.agnn"
+        write_checkpoint(path, [(n, t.data) for n, t in params.named_tensors()], meta=meta)
+        with pytest.raises(CheckpointMismatchError, match=f"meta.{key} is {float(value)}"):
+            load_model(path)

@@ -169,6 +169,31 @@ class TestInfer:
                      "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_mixed_frame_sizes_exit_2(self, tmp_path, tiny_checkpoint, capsys):
+        from agnnseg import pnm
+        vdir = tmp_path / "vid"
+        vdir.mkdir()
+        pnm.write_ppm(vdir / "frame_0000.ppm", np.zeros((32, 32, 3), dtype=np.uint8))
+        odd = vdir / "frame_0001.ppm"
+        pnm.write_ppm(odd, np.zeros((16, 16, 3), dtype=np.uint8))
+        code = main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(vdir),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(odd) in err and "size 16x16 differs from 32x32" in err
+
+    def test_nan_meta_exit_4(self, tmp_path, tiny_dataset, capsys):
+        params = init_model(channels=4, downsample=4, seed=0)
+        from agnnseg.checkpoint import write_checkpoint
+        bad = tmp_path / "nan.agnn"
+        write_checkpoint(bad, [(n, t.data) for n, t in params.named_tensors()],
+                         meta={"channels": float("nan"), "downsample": 4, "k_iters": 2})
+        video = tiny_dataset / "test" / "video_0000"
+        code = main(["infer", "--checkpoint", str(bad), "--video-dir", str(video),
+                     "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "meta.channels is nan" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exit_4(self, tmp_path, tiny_dataset):
         params = init_model(channels=4, downsample=4, seed=0)
         from agnnseg.checkpoint import write_checkpoint
@@ -225,6 +250,13 @@ class TestMalformedFiles:
         code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
         self.assert_format_error(capsys, code, bad)
 
+    def test_checkpoint_meta_record_of_rank_one(self, tmp_path, tiny_dataset, capsys):
+        from agnnseg.checkpoint import write_checkpoint
+        bad = tmp_path / "rank1.agnn"
+        write_checkpoint(bad, [("meta.k_iters", np.ones(2))])
+        code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
+        assert "has rank 1" in self.assert_format_error(capsys, code, bad)
+
     def test_truncated_frame(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys):
         vdir = tmp_path / "vid"
         vdir.mkdir()
@@ -243,3 +275,12 @@ class TestMalformedFiles:
         err = self.assert_format_error(capsys, code, manifest)
         assert "line 2: expected 4 tab-separated fields" in err
         assert err.rstrip().endswith(f"at byte {len(first)}")
+
+    def test_manifest_video_without_frames(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = data / "manifest.txt"
+        manifest.write_text("train\tvideo_0000\t0\tellipse\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        err = self.assert_format_error(capsys, code, manifest)
+        assert "line 1: expected 4 tab-separated fields, the third an integer of at least 1" in err

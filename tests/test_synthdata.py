@@ -1,6 +1,7 @@
 """Dataset generation invariants, PNM formats, sampling, and mask resolution."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agnnseg import pnm
+from agnnseg.errors import FormatError
 from agnnseg.synthdata import (
     SHAPE_CLASSES,
     SyntheticVideoSpec,
@@ -42,6 +44,45 @@ def small_dataset(tmp_path_factory):
         coseg_images_per_class=2,
     )
     return manifest
+
+
+@pytest.fixture(scope="module")
+def blob_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "blob"
+
+
+_WS = [bytes([c]) for c in b" \t\r\n\v\f"]
+# one header gap: whitespace bytes and comments, which may run to the end
+_gap = st.lists(
+    st.one_of(st.sampled_from(_WS), st.binary(max_size=6).map(lambda b: b"#" + b)),
+    max_size=4,
+).map(b"".join)
+
+
+def _number(value):
+    return st.integers(0, 2).map(lambda zeros: b"0" * zeros + b"%d" % value)
+
+
+@st.composite
+def pnm_layouts(draw):
+    """A P5/P6 file with random header spacing and comments, maybe cut short."""
+    magic, samples = draw(st.sampled_from([(b"P5", 1), (b"P6", 3)]))
+    width, height = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    maxval = draw(st.sampled_from([255, 255, 255, 254, 0]))
+    header = magic
+    for value in (width, height, maxval):
+        header += draw(_gap) + draw(_number(value))
+    header += draw(st.sampled_from(_WS + [b"#", b"x"]))
+    size = width * height * samples + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    blob = header + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return magic, samples, blob if cut is None else blob[:cut]
+
+
+def _any_pnm_bytes():
+    prefixes = st.sampled_from([b"", b"P5", b"P6", b"P5 1 1 255\n", b"P6\n1 2\n255\n", b"P5#\n"])
+    return st.one_of(st.binary(max_size=64), st.tuples(prefixes, st.binary(max_size=32)).map(
+        lambda pair: pair[0] + pair[1]))
 
 
 class TestPnm:
@@ -95,6 +136,51 @@ class TestPnm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# hi\n2 2\n255\n" + b"\xaa" * 4)
         np.testing.assert_array_equal(pnm.read_pgm(path), np.full((2, 2), 0xAA, dtype=np.uint8))
+
+    @given(layout=pnm_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_header_tokenizer_matches_byte_loop_oracle(self, blob_file, layout):
+        magic, samples, blob = layout
+        blob_file.write_bytes(blob)
+        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
+        try:
+            expected = oracles.read_pnm_loops(blob, magic, samples)
+        except oracles.PnmLoopsError as exc:
+            with pytest.raises(FormatError) as info:
+                read(blob_file)
+            assert info.value.offset == exc.offset
+            assert str(info.value) == f"{blob_file}: {exc}"
+        else:
+            got = read(blob_file)
+            assert got.dtype == np.uint8 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @given(blob=_any_pnm_bytes(), magic=st.sampled_from([b"P5", b"P6"]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_give_an_array_or_format_error(self, blob_file, blob, magic):
+        blob_file.write_bytes(blob)
+        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
+        try:
+            got = read(blob_file)
+        except FormatError as exc:
+            assert exc.path == blob_file and 0 <= exc.offset <= len(blob)
+        else:
+            assert got.dtype == np.uint8 and got.ndim == (2 if magic == b"P5" else 3)
+
+    def test_overlong_integer_is_a_format_error(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n")
+        with pytest.raises(FormatError, match="5000 digits.*at byte 5003"):
+            pnm.read_pgm(path)
+
+    def test_stack_of_mixed_sizes_names_file_and_sizes(self, tmp_path):
+        paths = [tmp_path / f"f{i}.ppm" for i in range(3)]
+        for path, side in zip(paths, (4, 4, 2)):
+            pnm.write_ppm(path, np.zeros((side, side, 3), dtype=np.uint8))
+        with pytest.raises(FormatError) as info:
+            pnm.read_stack(paths, pnm.read_ppm)
+        assert info.value.path == paths[2]
+        assert f"size 2x2 differs from 4x4 of {paths[0]}" in str(info.value)
 
     @given(
         h=st.integers(min_value=1, max_value=8),
@@ -206,6 +292,36 @@ class TestDataset:
         assert frames.min() >= 0.0 and frames.max() <= 1.0
         assert masks.dtype == bool
 
+    def test_load_video_matches_per_file_decode_oracle(self, small_dataset):
+        for entry in small_dataset.split("train")[:2] + small_dataset.split("coseg")[:1]:
+            vdir = small_dataset.video_dir(entry)
+            decoded = [
+                (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
+                 oracles.read_pnm_loops((vdir / f"mask_{t:04d}.pgm").read_bytes(), b"P5", 1))
+                for t in range(entry.num_frames)
+            ]
+            want_frames = np.stack([f.astype(float) / 255.0 for f, _ in decoded])
+            want_masks = np.stack([m >= 128 for _, m in decoded])
+            frames, masks = load_video(small_dataset, entry)
+            for got, want in ((frames, want_frames), (masks, want_masks)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["frame_0002.ppm", "mask_0000.pgm", "mask_0003.pgm"])
+    def test_file_of_another_size_named(self, small_dataset, tmp_path, name):
+        entry = small_dataset.split("train")[0]
+        root = tmp_path / "data"
+        shutil.copytree(small_dataset.video_dir(entry), root / entry.split / entry.video_id)
+        victim = root / entry.split / entry.video_id / name
+        if name.endswith(".ppm"):
+            pnm.write_ppm(victim, np.zeros((16, 32, 3), dtype=np.uint8))
+        else:
+            pnm.write_pgm(victim, np.zeros((16, 32), dtype=bool))
+        with pytest.raises(FormatError) as info:
+            load_video(type(small_dataset)(root, [entry]), entry)
+        assert info.value.path == victim
+        assert "size 32x16 differs from 32x32" in str(info.value)
+
 
 class TestStaticScene:
     def test_deterministic_and_nonempty(self):
@@ -275,6 +391,23 @@ class TestDownsampleMask:
             np.testing.assert_array_equal(
                 downsample_mask(mask, 4), oracles.block_majority_loops(mask, 4)
             )
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("lead", [(), (5,)])
+    def test_stack_matches_per_frame_counting_oracle(self, factor, lead):
+        rng = np.random.default_rng(8 + factor)
+        for _ in range(6):
+            shape = lead + (factor * int(rng.integers(1, 4)), factor * int(rng.integers(1, 4)))
+            mask = rng.uniform(size=shape) < rng.uniform()
+            got = downsample_mask(mask, factor)
+            frames = mask.reshape((-1,) + shape[-2:])
+            want = np.stack([oracles.block_majority_loops(m, factor) for m in frames])
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, want.reshape(got.shape))
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="at least 2-D"):
+            downsample_mask(np.ones(4, dtype=bool), 2)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
