@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data, train, infer, eval.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 config parse error, 2 I/O error or malformed input file,
-3 training divergence, 4 checkpoint/config shape mismatch.
+0 success, 1 config parse error or bad option value, 2 I/O error or
+malformed input file, 3 training divergence, 4 checkpoint/config shape
+mismatch.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import pnm
 from .errors import FormatError
 from .model import CheckpointMismatchError, load_model, save_model
 from .pipeline import DivergenceError, TrainConfig, evaluate, infer_video, iocs_infer, train
-from .synthdata import generate_dataset, load_manifest
+from .synthdata import bilinear_upsample, generate_dataset, load_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,7 +30,6 @@ CONFIG_DEFAULTS = {
     "downsample": 4,
     "frames_per_video": 24,
     "n_prime_train": 3,
-    "n_prime_test": 5,
     "k_iters": 3,
     "lr": 1e-3,
     "momentum": 0.9,
@@ -42,7 +40,7 @@ CONFIG_DEFAULTS = {
 
 _INT_KEYS = {
     "canvas", "channels", "downsample", "frames_per_video",
-    "n_prime_train", "n_prime_test", "k_iters", "iters", "seed",
+    "n_prime_train", "k_iters", "iters", "seed",
 }
 _FLOAT_KEYS = {"lr", "momentum"}
 
@@ -86,25 +84,13 @@ def parse_config(path):
     return values
 
 
-def _bilinear_upsample(grid, factor):
-    """Upsample a 2-D map by an integer factor (half-pixel aligned)."""
-    h, w = grid.shape
-    out_h, out_w = h * factor, w * factor
-    ys = (np.arange(out_h) + 0.5) / factor - 0.5
-    xs = (np.arange(out_w) + 0.5) / factor - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = grid[np.ix_(y0, x0)] * (1 - wx) + grid[np.ix_(y0, x1)] * wx
-    bottom = grid[np.ix_(y1, x0)] * (1 - wx) + grid[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+def _check_n_prime(n_prime, minimum):
+    if n_prime < minimum:
+        raise ConfigError(f"--n-prime must be >= {minimum}, got {n_prime}")
 
 
 def _export_mask(path, prob_grid, out_shape, factor, threshold=0.5):
-    up = _bilinear_upsample(prob_grid, factor)[: out_shape[0], : out_shape[1]]
+    up = bilinear_upsample(prob_grid, factor)[: out_shape[0], : out_shape[1]]
     pnm.write_pgm(path, up > threshold)
 
 
@@ -158,6 +144,8 @@ def cmd_infer(args):
         raise CheckpointMismatchError(
             f"frame size {frames.shape[1:3]} not divisible by model downsample {d}"
         )
+    # each co-segmentation graph holds the target and at least one other image
+    _check_n_prime(args.n_prime, 2 if args.task == "coseg" and len(frames) > 1 else 1)
     k_iters = int(meta["k_iters"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,6 +163,7 @@ def cmd_infer(args):
 
 
 def cmd_eval(args):
+    _check_n_prime(args.n_prime, 1)
     params, meta = load_model(args.checkpoint)
     manifest = load_manifest(args.data)
     if not manifest.split(args.split):

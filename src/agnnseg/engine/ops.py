@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, all_finite, config
+from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, all_finite
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -398,13 +398,12 @@ def apply(kind, inputs, attrs=None):
     if op is None:
         raise ValueError(f"unknown op kind {kind!r}")
     attrs = {} if attrs is None else attrs
-    check = config.check_finite
     arrays = []
     for t in inputs:
         if not isinstance(t, Tensor):
             raise TypeError(f"{kind} input must be a Tensor, got {type(t).__name__}")
         data = t.data
-        if check and not all_finite(data):
+        if not all_finite(data):
             raise NonFiniteError(f"{kind} input contains NaN or Inf")
         arrays.append(data)
     out_arr, saved = op.forward(arrays, attrs)
@@ -440,7 +439,7 @@ def backward(tape, seed_grad):
     if not tape.records:
         raise ValueError("backward on an empty tape")
     _validate_tape(tape)
-    seed = seed_grad.data if isinstance(seed_grad, Tensor) else np.asarray(seed_grad, dtype=config.dtype)
+    seed = seed_grad.data if isinstance(seed_grad, Tensor) else np.asarray(seed_grad, dtype=np.float64)
     last = tape.records[-1]
     if seed.shape != last.output_shape:
         raise ValueError(

@@ -1,10 +1,10 @@
 """Core autodiff state: tensors, the recording tape, and gradient maps.
 
 Every numeric quantity in the model is a :class:`Tensor` wrapping a dense
-numpy array (row-major, rank <= 4, finite values).  Operations applied while
-a :class:`Tape` is active are recorded in topological order, so a single
-reverse sweep over the records yields exact gradients for everything on the
-tape.
+float64 numpy array (row-major, rank <= 4, finite values).  Operations
+applied while a :class:`Tape` is active are recorded in topological order,
+so a single reverse sweep over the records yields exact gradients for
+everything on the tape.
 """
 
 from __future__ import annotations
@@ -14,23 +14,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class EngineConfig:
-    """Global numeric settings.
-
-    ``dtype`` is float64 by default so finite-difference gradient checks have
-    headroom; set to ``np.float32`` for half-memory runs where checks are not
-    needed.  ``check_finite`` controls NaN/Inf rejection on op inputs and
-    tensor creation.
-    """
-
-    def __init__(self):
-        self.dtype = np.float64
-        self.check_finite = True
-
-
-config = EngineConfig()
 
 _id_counter = itertools.count()
 _local = threading.local()
@@ -83,15 +66,15 @@ class Tensor:
     __slots__ = ("data", "id", "name")
 
     def __init__(self, data, name=None):
-        if type(data) is np.ndarray and data.dtype == config.dtype:
+        if type(data) is np.ndarray and data.dtype == np.float64:
             arr = data
         else:
-            arr = np.asarray(data, dtype=config.dtype)
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 4:
             raise ValueError(f"tensor rank {arr.ndim} exceeds 4 (shape {arr.shape})")
         if 0 in arr.shape:
             raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
-        if config.check_finite and not all_finite(arr):
+        if not all_finite(arr):
             raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
         self.id = next(_id_counter)

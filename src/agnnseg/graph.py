@@ -1,67 +1,22 @@
 """Attention message passing over a fully connected frame graph.
 
-Each node is a spatial feature grid.  One round computes, from the previous
-round's states only (Jacobi semantics): a self-attention loop edge per node,
-a bilinear line edge per node pair, row-softmax weighted neighbor messages,
-per-channel confidence gates, a gated sum, and a convolutional GRU state
-update.  All parameters are shared across nodes.
+The graph is its list of node states: every node is an (H, W, C) feature
+grid, and every pair of nodes is an edge.  One round computes, from the
+previous round's states only (Jacobi semantics): a self-attention loop edge
+per node, a bilinear line edge per node pair, row-softmax weighted neighbor
+messages, per-channel confidence gates, a gated sum, and a convolutional GRU
+state update.  All parameters are shared across nodes; the number of rounds
+K and the gating are the only run settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
 from .engine import Tensor
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    k_iters: int = 3
-    n_nodes: int = 5
-    channels: int = 32
-    gated: bool = True
-
-    def __post_init__(self):
-        if self.k_iters < 1:
-            raise ValueError(f"k_iters must be >= 1, got {self.k_iters}")
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
-
-
-@dataclass
-class VideoGraph:
-    """Ordered node states plus the run configuration; fully connected."""
-
-    nodes: list
-    config: GraphConfig = field(default_factory=GraphConfig)
-
-    def __post_init__(self):
-        if len(self.nodes) != self.config.n_nodes:
-            raise ValueError(
-                f"graph has {len(self.nodes)} nodes but config says {self.config.n_nodes}"
-            )
-        shapes = {n.shape for n in self.nodes}
-        if len(shapes) != 1:
-            raise ValueError(f"node states disagree on shape: {sorted(shapes)}")
-        (shape,) = shapes
-        if len(shape) != 3 or shape[2] != self.config.channels:
-            raise ValueError(f"node state shape {shape} does not match config {self.config}")
-
-
-def graph_from_states(states, k_iters=3, gated=True):
-    """Convenience constructor: config inferred from the state list."""
-    return VideoGraph(
-        nodes=list(states),
-        config=GraphConfig(
-            k_iters=k_iters,
-            n_nodes=len(states),
-            channels=states[0].shape[2],
-            gated=gated,
-        ),
-    )
 
 
 @dataclass
@@ -162,11 +117,6 @@ def inter_attention(h_i, h_j, w_c):
     return e_ij, engine.transpose(e_ij)
 
 
-def loop_message(e_ii: Tensor) -> Tensor:
-    """The loop edge already carries context plus content; pass it through."""
-    return e_ii
-
-
 def neighbor_message(h_j, e_ij) -> Tensor:
     """Content of node j, mixed per-position by the row-softmaxed line edge."""
     hh, ww, c = h_j.shape
@@ -182,22 +132,19 @@ def message_gate(m, params: AttentionParams) -> Tensor:
     return engine.sigmoid(engine.global_avg_pool(engine.conv2d(m, params.gate_w, params.gate_b)))
 
 
-def aggregate_messages(messages, gates) -> Tensor:
-    """Gated sum of incoming messages, in ascending node-index order."""
-    if len(messages) != len(gates):
+def aggregate_messages(messages, gates=None) -> Tensor:
+    """Sum of incoming messages, in ascending node-index order.
+
+    With ``gates``, each message is first scaled per channel by its own gate.
+    """
+    if gates is not None and len(messages) != len(gates):
         raise ValueError(f"{len(messages)} messages but {len(gates)} gates")
     if not messages:
         raise ValueError("no messages to aggregate")
-    total = engine.channel_broadcast_mul(messages[0], gates[0])
-    for msg, gate in zip(messages[1:], gates[1:]):
-        total = engine.add(total, engine.channel_broadcast_mul(msg, gate))
-    return total
-
-
-def _sum_messages(messages) -> Tensor:
-    total = messages[0]
-    for msg in messages[1:]:
-        total = engine.add(total, msg)
+    terms = iter(messages) if gates is None else map(engine.channel_broadcast_mul, messages, gates)
+    total = next(terms)
+    for term in terms:
+        total = engine.add(total, term)
     return total
 
 
@@ -216,14 +163,14 @@ def convgru_update(h_prev, m, params: AttentionParams) -> Tensor:
     return engine.add(h_prev, engine.mul(z, engine.add(cand, engine.scalar_scale(h_prev, -1.0))))
 
 
-def propagate_round(graph: VideoGraph, params: AttentionParams) -> VideoGraph:
-    """One message-passing round with Jacobi semantics.
+def propagate_round(states, params: AttentionParams, gated=True):
+    """One message-passing round with Jacobi semantics; returns the new states.
 
     Every edge, message, and gate is computed from the incoming states; all
-    nodes then update simultaneously.  Aggregation sums over senders in
-    ascending node-index order.
+    nodes then update simultaneously.  A node's own message is its loop edge.
+    Aggregation sums over senders in ascending node-index order, gated unless
+    ``gated`` is off.
     """
-    states = graph.nodes
     n = len(states)
     loop_edges = [intra_attention(h, params) for h in states]
     line_edges = {}
@@ -235,23 +182,29 @@ def propagate_round(graph: VideoGraph, params: AttentionParams) -> VideoGraph:
     new_states = []
     for i in range(n):
         messages = [
-            loop_message(loop_edges[i]) if j == i else neighbor_message(states[j], line_edges[(i, j)])
+            loop_edges[i] if j == i else neighbor_message(states[j], line_edges[(i, j)])
             for j in range(n)
         ]
-        if graph.config.gated:
-            gates = [message_gate(m, params) for m in messages]
-            m_i = aggregate_messages(messages, gates)
-        else:
-            m_i = _sum_messages(messages)
-        new_states.append(convgru_update(states[i], m_i, params))
-    return VideoGraph(new_states, graph.config)
+        gates = [message_gate(m, params) for m in messages] if gated else None
+        new_states.append(convgru_update(states[i], aggregate_messages(messages, gates), params))
+    return new_states
 
 
-def run_graph(graph: VideoGraph, k_iters: int, params: AttentionParams):
-    """Apply ``k_iters`` sequential rounds; returns the final node states."""
+def run_graph(states, k_iters: int, params: AttentionParams, gated=True):
+    """Apply ``k_iters`` rounds to a list of node states; returns the final states.
+
+    The states must be non-empty and share one (H, W, C) shape.
+    """
     if k_iters < 1:
         raise ValueError(f"k_iters must be >= 1, got {k_iters}")
-    current = graph
+    states = list(states)
+    if not states:
+        raise ValueError("graph needs at least one node state")
+    shapes = {h.shape for h in states}
+    if len(shapes) != 1:
+        raise ValueError(f"node states disagree on shape: {sorted(shapes)}")
+    if len(states[0].shape) != 3:
+        raise ValueError(f"node states must be (H, W, C) grids, got shape {states[0].shape}")
     for _ in range(k_iters):
-        current = propagate_round(current, params)
-    return current.nodes
+        states = propagate_round(states, params, gated)
+    return states

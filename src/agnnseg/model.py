@@ -10,7 +10,7 @@ from . import checkpoint as ckpt
 from . import head as head_mod
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .engine import Tensor
-from .graph import AttentionParams, graph_from_states, init_attention_params, run_graph
+from .graph import AttentionParams, init_attention_params, run_graph
 from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
 
 
@@ -64,19 +64,17 @@ def encode_frames(frames, params: ModelParameters):
 def predict_clip(frames, params: ModelParameters, k_iters=3, gated=True):
     """Masks for a clip: encode, run the graph, read out every node.
 
-    Returns (probability maps, initial embeddings, final states); the maps
-    are tensors at feature resolution with values in [0, 1].
+    Returns one probability map per frame: tensors at feature resolution
+    with values in [0, 1].
     """
     embeddings = encode_frames(frames, params)
-    g = graph_from_states(embeddings, k_iters=k_iters, gated=gated)
-    finals = run_graph(g, k_iters, params.attention)
-    masks = [head_mod.readout(h, v, params.readout) for h, v in zip(finals, embeddings)]
-    return masks, embeddings, finals
+    finals = run_graph(embeddings, k_iters, params.attention, gated)
+    return [head_mod.readout(h, v, params.readout) for h, v in zip(finals, embeddings)]
 
 
 def clip_loss(frames, grid_masks, params: ModelParameters, k_iters=3, gated=True):
     """Per-frame weighted BCE against grid-resolution binary masks."""
-    preds, _, _ = predict_clip(frames, params, k_iters=k_iters, gated=gated)
+    preds = predict_clip(frames, params, k_iters=k_iters, gated=gated)
     return [weighted_bce(gt, pred) for gt, pred in zip(grid_masks, preds)]
 
 

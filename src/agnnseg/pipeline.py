@@ -17,14 +17,15 @@ import numpy as np
 
 from . import head as head_mod
 from . import metrics
-from .engine import NonFiniteError, Tape, Tensor, backward
-from .graph import graph_from_states, run_graph
+from .engine import NonFiniteError, Tape, backward
+from .graph import run_graph
 from .head import mean_loss
 from .model import (
     ModelParameters,
     clip_loss,
     encode_frames,
     init_model,
+    predict_clip,
     static_loss,
 )
 from .synthdata import (
@@ -53,7 +54,6 @@ class TrainConfig:
     lr: float = 1e-3
     momentum: float = 0.9
     iterations: int = 2000
-    alternation: bool = True
     gated: bool = True
     seed: int = 0
 
@@ -102,9 +102,9 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
     """Optimize the model on a dataset's train split.
 
     ``dataset`` is a DatasetManifest or a path to one.  Static and dynamic
-    iterations alternate (static on even steps) unless alternation is off.
-    Returns the trained parameters and one loss value per iteration; raises
-    DivergenceError the moment anything goes non-finite.
+    iterations alternate, static on even steps.  Returns the trained
+    parameters and one loss value per iteration; raises DivergenceError the
+    moment anything goes non-finite.
     """
     manifest = dataset if isinstance(dataset, DatasetManifest) else load_manifest(dataset)
     entries = manifest.split("train")
@@ -126,7 +126,7 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
     losses = []
     batch_images = config.videos_per_batch * config.n_prime
     for iteration in range(config.iterations):
-        is_static = config.alternation and iteration % 2 == 0
+        is_static = iteration % 2 == 0
         try:
             # overflow on divergence is detected via NonFiniteError, not warnings
             with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
@@ -194,11 +194,9 @@ def infer_video(frames, params: ModelParameters, n_prime=5, k_iters=3, gated=Tru
     schedule = InferenceSchedule(len(frames), n_prime)
     out = [None] * len(frames)
     for subset in schedule.subsets:
-        embeddings = encode_frames([frames[t] for t in subset], params)
-        finals = run_graph(graph_from_states(embeddings, k_iters=k_iters, gated=gated),
-                           k_iters, params.attention)
-        for t, h, v in zip(subset, finals, embeddings):
-            out[t] = head_mod.readout(h, v, params.readout).data
+        maps = predict_clip([frames[t] for t in subset], params, k_iters=k_iters, gated=gated)
+        for t, m in zip(subset, maps):
+            out[t] = m.data
     return out
 
 
@@ -208,7 +206,8 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=3, k_iters
     The other images are split in dataset order into ceil((N-1)/(n_prime-1))
     near-equal groups; each group joins the target's carried node state in a
     fresh graph, and the target's raw state (no readout in between) seeds the
-    next run.  Returns the target's foreground probability map.
+    next run.  A lone image runs one graph of its own state.  Returns the
+    target's foreground probability map.
     """
     images = list(images)
     n = len(images)
@@ -216,21 +215,15 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=3, k_iters
         raise ValueError(f"target index {target_index} outside 0..{n - 1}")
     (v_target,) = encode_frames([images[target_index]], params)
     others = [i for i in range(n) if i != target_index]
-    state = v_target
+    groups = [[]]
     if others:
         if n_prime < 2:
             raise ValueError("n_prime must be >= 2 when the group has other images")
         groups = _near_equal_chunks(others, per_group=n_prime - 1)
-        for group in groups:
-            embeddings = encode_frames([images[i] for i in group], params)
-            nodes = [state] + embeddings
-            finals = run_graph(graph_from_states(nodes, k_iters=k_iters, gated=gated),
-                               k_iters, params.attention)
-            state = finals[0]
-    else:
-        finals = run_graph(graph_from_states([state], k_iters=k_iters, gated=gated),
-                           k_iters, params.attention)
-        state = finals[0]
+    state = v_target
+    for group in groups:
+        nodes = [state] + encode_frames([images[i] for i in group], params)
+        state = run_graph(nodes, k_iters, params.attention, gated)[0]
     return head_mod.readout(state, v_target, params.readout).data
 
 

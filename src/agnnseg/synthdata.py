@@ -419,3 +419,20 @@ def downsample_mask(mask, factor):
     for dx in range(factor):
         votes += rows[..., dx::factor]
     return 2 * votes >= factor * factor
+
+
+def bilinear_upsample(grid, factor):
+    """Upsample a 2-D map by an integer factor (half-pixel aligned)."""
+    h, w = grid.shape
+    out_h, out_w = h * factor, w * factor
+    ys = (np.arange(out_h) + 0.5) / factor - 0.5
+    xs = (np.arange(out_w) + 0.5) / factor - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.clip(y0 + 1, 0, h - 1)
+    x1 = np.clip(x0 + 1, 0, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = grid[np.ix_(y0, x0)] * (1 - wx) + grid[np.ix_(y0, x1)] * wx
+    bottom = grid[np.ix_(y1, x0)] * (1 - wx) + grid[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy

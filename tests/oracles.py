@@ -182,6 +182,34 @@ def block_majority_loops(mask, factor):
     return out
 
 
+def bilinear_upsample_loops(grid, factor):
+    """Half-pixel aligned bilinear upsampling, one output pixel at a time.
+
+    Each output pixel's centre maps back to a source coordinate that is
+    clamped to the grid (edge values extend outward) and interpolated from
+    its four surrounding source pixels.
+    """
+    h, w = grid.shape
+    out = np.zeros((h * factor, w * factor))
+    for oy in range(h * factor):
+        sy = min(max((oy + 0.5) / factor - 0.5, 0.0), h - 1.0)
+        y0 = int(math.floor(sy))
+        y1 = min(y0 + 1, h - 1)
+        fy = sy - y0
+        for ox in range(w * factor):
+            sx = min(max((ox + 0.5) / factor - 0.5, 0.0), w - 1.0)
+            x0 = int(math.floor(sx))
+            x1 = min(x0 + 1, w - 1)
+            fx = sx - x0
+            out[oy, ox] = (
+                (1 - fy) * (1 - fx) * grid[y0, x0]
+                + (1 - fy) * fx * grid[y0, x1]
+                + fy * (1 - fx) * grid[y1, x0]
+                + fy * fx * grid[y1, x1]
+            )
+    return out
+
+
 class PnmLoopsError(Exception):
     """A malformed PNM blob, with the byte offset the loop parser stopped at."""
 

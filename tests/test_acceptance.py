@@ -18,7 +18,6 @@ from agnnseg.engine import Tape, Tensor, backward, grad_check
 from agnnseg.graph import (
     aggregate_messages,
     convgru_update,
-    graph_from_states,
     init_attention_params,
     inter_attention,
     intra_attention,
@@ -158,7 +157,7 @@ def test_criterion_3_algebraic_invariants():
         worst_rowsum = max(worst_rowsum, np.abs(soft.sum(axis=1) - 1.0).max())
         gate = message_gate(a, p).data
         gates_ok = gates_ok and bool(np.all(gate > 0.0) and np.all(gate < 1.0))
-        states = run_graph(graph_from_states([a, b], k_iters=2), 2, p)
+        states = run_graph([a, b], 2, p)
         shapes_ok = shapes_ok and all(s.shape == (h, w, c) for s in states)
     ok = worst_transpose < 1e-6 and worst_rowsum < 1e-9 and gates_ok and shapes_ok
     report(3, ok, f"transpose dev {worst_transpose:.2e} (<1e-6), row-sum dev "
@@ -175,7 +174,7 @@ def test_criterion_4_permutation_equivariance():
 
     def masks_for(order):
         embeds = encode_frames([frames[i] for i in order], params)
-        finals = run_graph(graph_from_states(embeds, k_iters=3), 3, params.attention)
+        finals = run_graph(embeds, 3, params.attention)
         return [readout(hf, v, params.readout).data for hf, v in zip(finals, embeds)]
 
     base = masks_for([0, 1, 2, 3])
@@ -206,7 +205,7 @@ def test_criterion_6_iocs_consistency():
     images = [render_static_scene(32, seed=s)[0] for s in range(3)]
     got = iocs_infer(images, 0, params, n_prime=3, k_iters=3)
     embeds = encode_frames(images, params)
-    finals = run_graph(graph_from_states(embeds, k_iters=3), 3, params.attention)
+    finals = run_graph(embeds, 3, params.attention)
     want = readout(finals[0], embeds[0], params.readout).data
     bit_identical = got.tobytes() == want.tobytes()
     repeat = iocs_infer(images, 0, params, n_prime=3, k_iters=3)

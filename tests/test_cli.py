@@ -49,7 +49,13 @@ def tiny_dataset(tmp_path_factory):
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = parse_config(None)
-        assert cfg["n_prime_test"] == 5 and cfg["k_iters"] == 3
+        assert cfg["n_prime_train"] == 3 and cfg["k_iters"] == 3
+
+    def test_test_time_n_prime_is_not_a_config_key(self, tmp_path, capsys):
+        # infer and eval take --n-prime; a config value would be silently unused
+        path = write_config(tmp_path / "c.cfg", n_prime_test=5)
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "d")]) == 1
+        assert "n_prime_test" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", bogus=3)
@@ -154,6 +160,15 @@ class TestInfer:
                      "--out", str(out), "--task", "coseg"]) == 0
         assert len(list(out.glob("pred_*.pgm"))) == 1
 
+    @pytest.mark.parametrize("task, n_prime, minimum", [("video", 0, 1), ("coseg", 1, 2)])
+    def test_bad_n_prime_exit_1(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys,
+                                task, n_prime, minimum):
+        video = tiny_dataset / "test" / "video_0000"
+        code = main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(video),
+                     "--out", str(tmp_path / "o"), "--task", task, "--n-prime", str(n_prime)])
+        assert code == 1
+        assert f"--n-prime must be >= {minimum}, got {n_prime}" in capsys.readouterr().err
+
     def test_missing_video_dir_exit_2(self, tmp_path, tiny_checkpoint):
         code = main(["infer", "--checkpoint", str(tiny_checkpoint),
                      "--video-dir", str(tmp_path / "void"), "--out", str(tmp_path / "o")])
@@ -223,6 +238,12 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
                      "--split", "absent"])
         assert code == 2
+
+    def test_zero_n_prime_exit_1(self, tiny_dataset, tiny_checkpoint, capsys):
+        code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
+                     "--n-prime", "0"])
+        assert code == 1
+        assert "--n-prime must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestMalformedFiles:

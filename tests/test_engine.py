@@ -43,6 +43,12 @@ class TestTensor:
     def test_scalar_allowed(self):
         assert Tensor(3.0).shape == ()
 
+    def test_float32_input_becomes_float64(self):
+        x = np.array([[0.1, -2.5]], dtype=np.float32)
+        got = Tensor(x)
+        assert type(got.data) is np.ndarray and got.data.dtype == np.float64
+        np.testing.assert_array_equal(got.data, x.astype(np.float64))
+
     def test_finite_values_whose_sum_overflows_accepted(self):
         big = np.full(4, 1e308)
         with warnings.catch_warnings():

@@ -7,15 +7,11 @@ from agnnseg import engine
 from agnnseg.engine import Tape, Tensor, backward, grad_check
 from agnnseg.graph import (
     AttentionParams,
-    GraphConfig,
-    VideoGraph,
     aggregate_messages,
     convgru_update,
-    graph_from_states,
     init_attention_params,
     inter_attention,
     intra_attention,
-    loop_message,
     message_gate,
     neighbor_message,
     propagate_round,
@@ -100,15 +96,11 @@ class TestInterAttention:
 
 
 class TestLoopMessage:
-    def test_identity_passthrough(self):
-        x = t(np.random.default_rng(6).normal(size=(2, 2, 2)))
-        assert loop_message(x) is x
-
     def test_composed_with_alpha_zero(self):
         rng = np.random.default_rng(7)
         p = init_attention_params(2, 3)
         h = random_state(rng)
-        np.testing.assert_array_equal(loop_message(intra_attention(h, p)).data, h.data)
+        np.testing.assert_array_equal(intra_attention(h, p).data, h.data)
 
 
 class TestNeighborMessage:
@@ -203,6 +195,12 @@ class TestAggregate:
         want = oracles.aggregate_loops([m.data for m in msgs], [g.data for g in gates])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_without_gates_adds_in_node_order(self):
+        rng = np.random.default_rng(37)
+        msgs = [random_state(rng) for _ in range(3)]
+        out = aggregate_messages(msgs).data
+        assert out.tobytes() == ((msgs[0].data + msgs[1].data) + msgs[2].data).tobytes()
+
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(18)
         with pytest.raises(ValueError, match="gates"):
@@ -258,7 +256,7 @@ def reference_round(states, params, gated=True):
         msgs = []
         for j in range(n):
             if j == i:
-                msgs.append(loop_message(intra_attention(states[i], params)))
+                msgs.append(intra_attention(states[i], params))
             else:
                 e_ij, _ = inter_attention(states[i], states[j], params.w_c)
                 msgs.append(neighbor_message(states[j], e_ij))
@@ -281,25 +279,23 @@ class TestRounds:
         rng = np.random.default_rng(23)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(3)]
-        g = graph_from_states(states)
-        got = propagate_round(g, p)
+        got = propagate_round(states, p)
         want = reference_round(states, p)
-        for a, b in zip(got.nodes, want):
+        for a, b in zip(got, want):
             np.testing.assert_allclose(a.data, b.data, atol=1e-9)
 
     def test_duplicate_nodes_update_identically(self):
         rng = np.random.default_rng(24)
         p = random_params(2, rng)
         h = random_state(rng)
-        g = graph_from_states([h, Tensor(h.data.copy()), random_state(rng)])
-        out = propagate_round(g, p)
-        np.testing.assert_allclose(out.nodes[0].data, out.nodes[1].data, atol=1e-12)
+        out = propagate_round([h, Tensor(h.data.copy()), random_state(rng)], p)
+        np.testing.assert_allclose(out[0].data, out[1].data, atol=1e-12)
 
     def test_single_node_graph(self):
         rng = np.random.default_rng(25)
         p = random_params(2, rng)
         h = random_state(rng)
-        out = propagate_round(graph_from_states([h]), p).nodes[0]
+        (out,) = propagate_round([h], p)
         loop = intra_attention(h, p)
         gate = message_gate(loop, p)
         want = convgru_update(h, aggregate_messages([loop], [gate]), p)
@@ -309,8 +305,8 @@ class TestRounds:
         rng = np.random.default_rng(26)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(2)]
-        got = run_graph(graph_from_states(states), 1, p)
-        want = propagate_round(graph_from_states(states), p).nodes
+        got = run_graph(states, 1, p)
+        want = propagate_round(states, p)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -318,7 +314,7 @@ class TestRounds:
         rng = np.random.default_rng(27)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(3)]
-        got = run_graph(graph_from_states(states), 2, p)
+        got = run_graph(states, 2, p)
         want = reference_round(reference_round(states, p), p)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a.data, b.data, atol=1e-9)
@@ -327,28 +323,29 @@ class TestRounds:
         rng = np.random.default_rng(28)
         p = random_params(2, rng)
         with pytest.raises(ValueError, match="k_iters"):
-            run_graph(graph_from_states([random_state(rng)]), 0, p)
+            run_graph([random_state(rng)], 0, p)
 
     def test_shape_preserved_over_rounds(self):
         rng = np.random.default_rng(29)
         p = random_params(2, rng)
-        g = graph_from_states([random_state(rng, 3, 2, 2) for _ in range(2)])
+        states = [random_state(rng, 3, 2, 2) for _ in range(2)]
         for _ in range(3):
-            g = propagate_round(g, p)
-            assert all(n.shape == (3, 2, 2) for n in g.nodes)
+            states = propagate_round(states, p)
+            assert all(n.shape == (3, 2, 2) for n in states)
 
     def test_inconsistent_node_shapes_rejected(self):
         rng = np.random.default_rng(30)
-        with pytest.raises(ValueError, match="disagree"):
-            graph_from_states([random_state(rng, 2, 2, 2), random_state(rng, 3, 3, 2)])
+        p = random_params(2, rng)
+        with pytest.raises(ValueError, match="node states disagree on shape"):
+            run_graph([random_state(rng, 2, 2, 2), random_state(rng, 3, 3, 2)], 1, p)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(4)]
         perm = [2, 0, 3, 1]
-        out = run_graph(graph_from_states(states), 2, p)
-        out_perm = run_graph(graph_from_states([states[i] for i in perm]), 2, p)
+        out = run_graph(states, 2, p)
+        out_perm = run_graph([states[i] for i in perm], 2, p)
         for slot, orig in enumerate(perm):
             dev = np.abs(out_perm[slot].data - out[orig].data).max()
             assert dev < 1e-6
@@ -362,7 +359,7 @@ class TestRounds:
                 for j in range(i + 1, 3):
                     e_ij, e_ji = inter_attention(states[i], states[j], p.w_c)
                     assert np.abs(e_ij.data - e_ji.data.T).max() < 1e-6
-            states = propagate_round(graph_from_states(states), p).nodes
+            states = propagate_round(states, p)
 
     def test_gradients_through_two_rounds(self):
         rng = np.random.default_rng(33)
@@ -371,7 +368,7 @@ class TestRounds:
         h1 = random_state(rng)
 
         def fn(*tensors):
-            finals = run_graph(graph_from_states([h0, h1]), 2, p)
+            finals = run_graph([h0, h1], 2, p)
             total = engine.add(
                 engine.reshape(finals[0], (1, finals[0].size)),
                 engine.reshape(finals[1], (1, finals[1].size)),
@@ -385,13 +382,20 @@ class TestRounds:
 
 
 class TestConfig:
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError, match="k_iters"):
-            GraphConfig(k_iters=0)
-        with pytest.raises(ValueError, match="n_nodes"):
-            GraphConfig(n_nodes=0)
+    """run_graph checks its settings and its node list once, before any round."""
 
-    def test_node_count_must_match_config(self):
+    def test_bad_config_rejected(self):
         rng = np.random.default_rng(34)
-        with pytest.raises(ValueError, match="nodes"):
-            VideoGraph([random_state(rng)], GraphConfig(n_nodes=2, channels=2))
+        p = random_params(2, rng)
+        with pytest.raises(ValueError, match="k_iters must be >= 1, got 0"):
+            run_graph([random_state(rng)], 0, p)
+        with pytest.raises(ValueError, match="at least one node state"):
+            run_graph([], 1, p)
+
+    def test_node_states_must_share_one_grid_shape(self):
+        rng = np.random.default_rng(35)
+        p = random_params(2, rng)
+        with pytest.raises(ValueError, match="disagree"):
+            run_graph([random_state(rng), random_state(rng, 2, 2, 3)], 1, p)
+        with pytest.raises(ValueError, match=r"\(H, W, C\) grids"):
+            run_graph([t(rng.normal(size=(4, 2)))] * 2, 1, p)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agnnseg.graph import graph_from_states, run_graph
+from agnnseg.graph import run_graph
 from agnnseg.head import readout
 from agnnseg.model import encode_frames, init_model
 from agnnseg.pipeline import (
@@ -34,7 +34,7 @@ def dataset(tmp_path_factory):
 
 def quick_config(**overrides):
     base = dict(videos_per_batch=2, n_prime=2, k_iters=2, lr=1e-3, momentum=0.9,
-                iterations=4, alternation=True, seed=0)
+                iterations=4, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -147,7 +147,7 @@ class TestIocs:
         images = [load_video(dataset, e)[0][0] for e in dataset.split("coseg")[:3]]
         got = iocs_infer(images, 1, params, n_prime=3, k_iters=2)
         embeddings = encode_frames([images[1], images[0], images[2]], params)
-        finals = run_graph(graph_from_states(embeddings, k_iters=2), 2, params.attention)
+        finals = run_graph(embeddings, 2, params.attention)
         want = readout(finals[0], embeddings[0], params.readout).data
         assert got.tobytes() == want.tobytes()
 

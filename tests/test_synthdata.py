@@ -14,6 +14,7 @@ from agnnseg.errors import FormatError
 from agnnseg.synthdata import (
     SHAPE_CLASSES,
     SyntheticVideoSpec,
+    bilinear_upsample,
     downsample_mask,
     generate_dataset,
     load_manifest,
@@ -258,6 +259,43 @@ class TestDataset:
         with pytest.raises(OSError, match="missing"):
             load_manifest(tmp_path)
 
+    def test_any_manifest_bytes_give_a_manifest_or_a_named_error(self, tmp_path_factory):
+        # a real dataset under the manifest, so lines naming its videos can load
+        root = tmp_path_factory.mktemp("manifest_fuzz")
+        generate_dataset(root, seed=1, train_videos=1, test_videos=1, num_frames=2,
+                         canvas=32, coseg_images_per_class=1)
+        path = root / "manifest.txt"
+        junk = st.text(alphabet="a0 \r.-/_\x00é", max_size=6)
+        fields = st.tuples(
+            st.sampled_from(["train", "test", "coseg"]) | junk,
+            st.sampled_from(["video_0000", "video_0001", "video_0009"]) | junk,
+            st.sampled_from(["1", "2", "3", "0", "-1", " 2", "2.0"]) | junk,
+            st.sampled_from(["ellipse", ""]),
+        )
+        line = st.one_of(fields, fields, st.lists(junk, max_size=5)).map("\t".join)
+        text_manifest = st.lists(line, max_size=3).flatmap(
+            lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(lambda nl: nl.join(lines))
+        )
+        blobs = st.one_of(st.binary(max_size=120), text_manifest.map(lambda s: s.encode()))
+
+        @given(blob=blobs)
+        @settings(max_examples=400, deadline=None)
+        def check(blob):
+            path.write_bytes(blob)
+            try:
+                manifest = load_manifest(root)
+            except FormatError as exc:
+                assert exc.path == path and 0 <= exc.offset < len(blob)
+            except OSError as exc:
+                _, _, named = str(exc).partition("manifest references missing file ")
+                assert named and not Path(named).is_file()
+            else:
+                for entry in manifest.entries:
+                    assert entry.num_frames >= 1
+                    assert (manifest.video_dir(entry) / "frame_0000.ppm").is_file()
+
+        check()
+
     def test_video_class_constant_and_distractors_strict_subset(self):
         for seed in range(8):
             spec = SyntheticVideoSpec(num_frames=6, canvas=32, shape_class="rectangle",
@@ -412,3 +450,24 @@ class TestDownsampleMask:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             downsample_mask(np.ones((6, 6), dtype=bool), 4)
+
+
+class TestBilinearUpsample:
+    def test_factor_one_is_identity(self):
+        grid = np.random.default_rng(40).uniform(size=(3, 5))
+        assert bilinear_upsample(grid, 1).tobytes() == grid.tobytes()
+
+    def test_constant_map_stays_constant(self):
+        got = bilinear_upsample(np.full((2, 3), 0.375), 4)
+        assert got.shape == (8, 12)
+        np.testing.assert_array_equal(got, np.full((8, 12), 0.375))
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_matches_per_pixel_loop_oracle(self, factor):
+        rng = np.random.default_rng(41 + factor)
+        for _ in range(10):
+            grid = rng.uniform(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
+            np.testing.assert_allclose(
+                bilinear_upsample(grid, factor), oracles.bilinear_upsample_loops(grid, factor),
+                rtol=0, atol=1e-12,
+            )

@@ -1,0 +1,45 @@
+"""The functions the benchmark's tracer wraps still exist under the names it uses.
+
+``perfbench/tracing.py`` patches agnnseg attributes by name; a rename in the
+package would otherwise only show up as an AttributeError in a traced
+benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def site_names(tracing):
+    return [(module, path) for _, module, path in tracing.SITES] + [tracing.APPLY_SITE]
+
+
+def test_every_site_resolves_to_a_distinct_callable(tracing):
+    seen = {}
+    for module, path in site_names(tracing):
+        owner, attr = tracing._resolve(module, path)
+        assert callable(getattr(owner, attr, None)), f"{module}.{path} does not resolve"
+        key = (id(owner), attr)
+        assert key not in seen, f"{module}.{path} and {seen[key]} resolve to one attribute"
+        seen[key] = f"{module}.{path}"
+
+
+def test_install_wraps_every_site_and_restores_it(tracing):
+    resolved = [tracing._resolve(module, path) for module, path in site_names(tracing)]
+    originals = [getattr(owner, attr) for owner, attr in resolved]
+    with tracing.Tracer(enabled=True).installed():
+        for (owner, attr), fn in zip(resolved, originals):
+            assert getattr(owner, attr) is not fn
+    for (owner, attr), fn in zip(resolved, originals):
+        assert getattr(owner, attr) is fn
