@@ -1,9 +1,9 @@
 """Command-line entry point: gen-data, train, infer, eval.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 config parse error or bad option value, 2 I/O error or
-malformed input file, 3 training divergence, 4 checkpoint/config shape
-mismatch.
+0 success, 1 config parse error, out-of-range config value or bad option
+value, 2 I/O error or malformed input file, 3 training divergence,
+4 checkpoint/config shape mismatch.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from . import pnm
+from .encoder import EncoderConfig
 from .errors import FormatError
 from .model import CheckpointMismatchError, load_model, save_model
 from .pipeline import DivergenceError, TrainConfig, evaluate, infer_video, iocs_infer, train
-from .synthdata import bilinear_upsample, generate_dataset, load_manifest
+from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,6 +85,14 @@ def parse_config(path):
     return values
 
 
+def _build(config_path, cls, **values):
+    """``cls(**values)``, its range check reported as an error in the config file."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
+
+
 def _check_n_prime(n_prime, minimum):
     if n_prime < minimum:
         raise ConfigError(f"--n-prime must be >= {minimum}, got {n_prime}")
@@ -96,21 +105,19 @@ def _export_mask(path, prob_grid, out_shape, factor, threshold=0.5):
 
 def cmd_gen_data(args):
     cfg = parse_config(args.config)
+    video = dict(num_frames=cfg["frames_per_video"], canvas=cfg["canvas"])
+    _build(args.config, SyntheticVideoSpec, **video)
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
-    generate_dataset(
-        out,
-        seed=cfg["seed"],
-        num_frames=cfg["frames_per_video"],
-        canvas=cfg["canvas"],
-    )
+    generate_dataset(out, seed=cfg["seed"], **video)
     print(out / "manifest.txt")
     return EXIT_OK
 
 
 def cmd_train(args):
     cfg = parse_config(args.config)
-    manifest = load_manifest(args.data)
-    train_cfg = TrainConfig(
+    train_cfg = _build(
+        args.config,
+        TrainConfig,
         n_prime=cfg["n_prime_train"],
         k_iters=cfg["k_iters"],
         lr=cfg["lr"],
@@ -118,7 +125,10 @@ def cmd_train(args):
         iterations=cfg["iters"],
         seed=cfg["seed"],
     )
-    result = train(manifest, train_cfg, channels=cfg["channels"], downsample=cfg["downsample"])
+    encoder = dict(channels=cfg["channels"], downsample=cfg["downsample"])
+    _build(args.config, EncoderConfig, **encoder)
+    manifest = load_manifest(args.data)
+    result = train(manifest, train_cfg, **encoder)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "checkpoint.agnn", result.params, k_iters=cfg["k_iters"])

@@ -33,6 +33,7 @@ from .synthdata import (
     downsample_mask,
     load_manifest,
     load_video,
+    read_video,
     render_static_scene,
     sample_training_clip,
 )
@@ -112,11 +113,12 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
         raise ValueError(
             f"train split has {len(entries)} videos, need >= {config.videos_per_batch}"
         )
-    videos = [load_video(manifest, e) for e in entries]
+    videos = [read_video(manifest, e) for e in entries]
     canvas = videos[0][0].shape[1]
     if canvas % downsample:
         raise ValueError(f"canvas {canvas} not divisible by downsample factor {downsample}")
-    grid_targets = [downsample_mask(masks, downsample) for _, masks in videos]
+    # uint8 frames and grid targets; only the sampled clip frames become float
+    videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
 
     if params is None:
         params = init_model(channels=channels, downsample=downsample, seed=config.seed)
@@ -140,10 +142,10 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
                     picks = rng.choice(len(videos), size=config.videos_per_batch, replace=False)
                     batch = []
                     for vi in picks:
-                        frames, _ = videos[vi]
+                        frames, targets = videos[vi]
                         indices = sample_training_clip(list(range(len(frames))), config.n_prime, rng)
                         batch.append(
-                            ([frames[t] for t in indices], [grid_targets[vi][t] for t in indices])
+                            ([frames[t] / 255.0 for t in indices], [targets[t] for t in indices])
                         )
                     loss = dynamic_batch_loss(batch, params, config)
             value = float(loss.data)

@@ -322,7 +322,8 @@ def write_manifest(manifest: DatasetManifest):
 def load_manifest(root):
     """Read manifest.txt and verify every referenced frame/mask file exists.
 
-    Every video must have at least one frame.
+    Every video must have at least one frame, and its split and video id
+    must each be one plain path component, so it lies under ``root``.
     """
     root = Path(root)
     path = root / "manifest.txt"
@@ -342,6 +343,11 @@ def load_manifest(root):
                 message = (f"line {lineno}: expected 4 tab-separated fields, "
                            "the third an integer of at least 1")
                 raise FormatError(path, offset, message)
+            for name in (split, video_id):
+                if name in ("", ".", "..") or "/" in name or "\\" in name:
+                    message = (f"line {lineno}: split and video id must each be one "
+                               f"plain path component, got {name!r}")
+                    raise FormatError(path, offset, message)
             entries.append(ManifestEntry(split, video_id, count, shape_class))
         offset += len(raw)
     manifest = DatasetManifest(root, entries)
@@ -354,13 +360,12 @@ def load_manifest(root):
     return manifest
 
 
-def load_video(manifest: DatasetManifest, entry: ManifestEntry):
-    """Frames as a (T, H, W, 3) float64 array in [0, 1], masks as (T, H, W) bools.
+def read_video(manifest: DatasetManifest, entry: ManifestEntry):
+    """Frames as a (T, H, W, 3) uint8 stack, masks as (T, H, W) bools.
 
-    Each file is decoded once into a uint8 stack; one division by 255 (exact
-    for every uint8 value) and one threshold at 128 then cover the video.  A
-    frame or mask whose size differs from the first frame's raises
-    FormatError naming it and both sizes.
+    Each file is decoded once into the stack and the masks are thresholded
+    at 128.  A frame or mask whose size differs from the first frame's
+    raises FormatError naming it and both sizes.
     """
     vdir = manifest.video_dir(entry)
     steps = range(entry.num_frames)
@@ -368,7 +373,17 @@ def load_video(manifest: DatasetManifest, entry: ManifestEntry):
     mask_paths = [vdir / f"mask_{t:04d}.pgm" for t in steps]
     frames = pnm.read_stack(frame_paths, pnm.read_ppm)
     masks = pnm.read_stack(mask_paths, pnm.read_pgm, ref=(frame_paths[0], frames.shape[1:]))
-    return frames / 255.0, masks >= 128
+    return frames, masks >= 128
+
+
+def load_video(manifest: DatasetManifest, entry: ManifestEntry):
+    """Frames as a (T, H, W, 3) float64 array in [0, 1], masks as (T, H, W) bools.
+
+    ``read_video`` plus one division by 255, which is exact for every uint8
+    value, so a frame converted later on its own has the same bytes.
+    """
+    frames, masks = read_video(manifest, entry)
+    return frames / 255.0, masks
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,24 @@ class TestConfig:
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "iters", 0),
+        ("train", "momentum", 1.5),
+        ("train", "downsample", 2),
+        ("train", "channels", 0),
+        ("gen-data", "frames_per_video", 0),
+    ])
+    def test_out_of_range_value_exit_1(self, tmp_path, tiny_dataset, capsys, command, key, value):
+        path = write_config(tmp_path / "c.cfg", **{key: value})
+        out = tmp_path / "out"
+        argv = [command, "--config", path, "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(tiny_dataset)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGenData:
     def test_gen_writes_manifest(self, tmp_path):
@@ -296,6 +314,17 @@ class TestMalformedFiles:
         err = self.assert_format_error(capsys, code, manifest)
         assert "line 2: expected 4 tab-separated fields" in err
         assert err.rstrip().endswith(f"at byte {len(first)}")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_path_outside_the_dataset(self, tmp_path, tiny_checkpoint, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = data / "manifest.txt"
+        manifest.write_text("test\t../x\t1\tellipse\n")
+        argv = {"train": ["train", "--data", str(data), "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(data)]}
+        err = self.assert_format_error(capsys, main(argv[command]), manifest)
+        assert "line 1: split and video id must each be one plain path component" in err
 
     def test_manifest_video_without_frames(self, tmp_path, capsys):
         data = tmp_path / "data"

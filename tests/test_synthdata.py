@@ -20,6 +20,7 @@ from agnnseg.synthdata import (
     load_manifest,
     load_video,
     raster_shape,
+    read_video,
     render_static_scene,
     render_video,
     sample_training_clip,
@@ -260,10 +261,12 @@ class TestDataset:
             load_manifest(tmp_path)
 
     def test_any_manifest_bytes_give_a_manifest_or_a_named_error(self, tmp_path_factory):
-        # a real dataset under the manifest, so lines naming its videos can load
-        root = tmp_path_factory.mktemp("manifest_fuzz")
+        # a real dataset under the manifest, so lines naming its videos can load,
+        # and a copy of one video outside it, which lines must not reach
+        root = tmp_path_factory.mktemp("manifest_fuzz") / "data"
         generate_dataset(root, seed=1, train_videos=1, test_videos=1, num_frames=2,
                          canvas=32, coseg_images_per_class=1)
+        shutil.copytree(root / "train" / "video_0000", root.parent / "outside")
         path = root / "manifest.txt"
         junk = st.text(alphabet="a0 \r.-/_\x00é", max_size=6)
         fields = st.tuples(
@@ -272,7 +275,9 @@ class TestDataset:
             st.sampled_from(["1", "2", "3", "0", "-1", " 2", "2.0"]) | junk,
             st.sampled_from(["ellipse", ""]),
         )
-        line = st.one_of(fields, fields, st.lists(junk, max_size=5)).map("\t".join)
+        escapes = st.sampled_from([("..", "outside"), ("train", "../../outside")]).map(
+            lambda names: names + ("2", "ellipse"))
+        line = st.one_of(fields, fields, escapes, st.lists(junk, max_size=5)).map("\t".join)
         text_manifest = st.lists(line, max_size=3).flatmap(
             lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(lambda nl: nl.join(lines))
         )
@@ -293,8 +298,26 @@ class TestDataset:
                 for entry in manifest.entries:
                     assert entry.num_frames >= 1
                     assert (manifest.video_dir(entry) / "frame_0000.ppm").is_file()
+                    assert manifest.video_dir(entry).resolve().is_relative_to(root.resolve())
 
         check()
+
+    @pytest.mark.parametrize("line", [
+        "train\t/\t1\tellipse",
+        "train\t../x\t1\tellipse",
+        "../train\tvideo_0000\t1\tellipse",
+        "train\t.\t1\tellipse",
+        "train\tvideo_0000\\..\t1\tellipse",
+        "\tvideo_0000\t1\tellipse",
+    ])
+    def test_name_that_is_not_one_path_component_rejected(self, small_dataset, tmp_path, line):
+        first = "train\tvideo_0000\t6\tellipse\n"
+        (tmp_path / "manifest.txt").write_text(first + line + "\n")
+        shutil.copytree(small_dataset.root / "train", tmp_path / "train")
+        with pytest.raises(FormatError, match="line 2: .*one plain path component") as info:
+            load_manifest(tmp_path)
+        assert info.value.path == tmp_path / "manifest.txt"
+        assert info.value.offset == len(first)
 
     def test_video_class_constant_and_distractors_strict_subset(self):
         for seed in range(8):
@@ -345,6 +368,23 @@ class TestDataset:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    def test_read_video_is_the_per_file_decode_and_load_video_divides_it(self, small_dataset):
+        for entry in [small_dataset.split(s)[0] for s in ("train", "test", "coseg")]:
+            vdir = small_dataset.video_dir(entry)
+            decoded = [
+                (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
+                 oracles.read_pnm_loops((vdir / f"mask_{t:04d}.pgm").read_bytes(), b"P5", 1))
+                for t in range(entry.num_frames)
+            ]
+            frames, masks = read_video(small_dataset, entry)
+            assert frames.dtype == np.uint8 and masks.dtype == bool
+            assert frames.tobytes() == np.stack([f for f, _ in decoded]).tobytes()
+            assert masks.tobytes() == np.stack([m >= 128 for _, m in decoded]).tobytes()
+            loaded, loaded_masks = load_video(small_dataset, entry)
+            assert loaded.dtype == np.float64 and loaded.shape == frames.shape
+            assert loaded.tobytes() == (frames / 255.0).tobytes()
+            assert loaded_masks.tobytes() == masks.tobytes()
+
     @pytest.mark.parametrize("name", ["frame_0002.ppm", "mask_0000.pgm", "mask_0003.pgm"])
     def test_file_of_another_size_named(self, small_dataset, tmp_path, name):
         entry = small_dataset.split("train")[0]
@@ -355,10 +395,14 @@ class TestDataset:
             pnm.write_ppm(victim, np.zeros((16, 32, 3), dtype=np.uint8))
         else:
             pnm.write_pgm(victim, np.zeros((16, 32), dtype=bool))
-        with pytest.raises(FormatError) as info:
-            load_video(type(small_dataset)(root, [entry]), entry)
-        assert info.value.path == victim
-        assert "size 32x16 differs from 32x32" in str(info.value)
+        raised = []
+        for load in (read_video, load_video):
+            with pytest.raises(FormatError) as info:
+                load(type(small_dataset)(root, [entry]), entry)
+            raised.append((info.value.path, info.value.offset, str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == victim
+        assert "size 32x16 differs from 32x32" in raised[0][2]
 
 
 class TestStaticScene:
