@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import pnm
 from .encoder import EncoderConfig
-from .errors import FormatError
+from .errors import FieldError, FormatError
 from .model import CheckpointMismatchError, load_model, save_model
 from .pipeline import DivergenceError, TrainConfig, evaluate, infer_video, iocs_infer, train
 from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
@@ -85,12 +85,16 @@ def parse_config(path):
     return values
 
 
-def _build(config_path, cls, **values):
-    """``cls(**values)``, its range check reported as an error in the config file."""
+def _build(config_path, cls, cfg, **keys):
+    """``cls`` with each field set from the config key that ``keys`` names.
+
+    A field out of its range is reported under its key, as an error in the
+    config file.
+    """
     try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
+        return cls(**{field: cfg[key] for field, key in keys.items()})
+    except FieldError as exc:
+        raise ConfigError(f"{config_path}: {keys[exc.field]} {exc.reason}") from exc
 
 
 def _check_n_prime(n_prime, minimum):
@@ -105,30 +109,21 @@ def _export_mask(path, prob_grid, out_shape, factor, threshold=0.5):
 
 def cmd_gen_data(args):
     cfg = parse_config(args.config)
-    video = dict(num_frames=cfg["frames_per_video"], canvas=cfg["canvas"])
-    _build(args.config, SyntheticVideoSpec, **video)
+    spec = _build(args.config, SyntheticVideoSpec, cfg, num_frames="frames_per_video",
+                  canvas="canvas")
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
-    generate_dataset(out, seed=cfg["seed"], **video)
+    generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
     print(out / "manifest.txt")
     return EXIT_OK
 
 
 def cmd_train(args):
     cfg = parse_config(args.config)
-    train_cfg = _build(
-        args.config,
-        TrainConfig,
-        n_prime=cfg["n_prime_train"],
-        k_iters=cfg["k_iters"],
-        lr=cfg["lr"],
-        momentum=cfg["momentum"],
-        iterations=cfg["iters"],
-        seed=cfg["seed"],
-    )
-    encoder = dict(channels=cfg["channels"], downsample=cfg["downsample"])
-    _build(args.config, EncoderConfig, **encoder)
+    train_cfg = _build(args.config, TrainConfig, cfg, n_prime="n_prime_train", k_iters="k_iters",
+                       lr="lr", momentum="momentum", iterations="iters", seed="seed")
+    encoder = _build(args.config, EncoderConfig, cfg, channels="channels", downsample="downsample")
     manifest = load_manifest(args.data)
-    result = train(manifest, train_cfg, **encoder)
+    result = train(manifest, train_cfg, channels=encoder.channels, downsample=encoder.downsample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "checkpoint.agnn", result.params, k_iters=cfg["k_iters"])

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
+from .errors import FieldError
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.downsample not in (4, 8):
-            raise ValueError(f"downsample factor must be 4 or 8, got {self.downsample}")
+            raise FieldError("downsample", f"must be 4 or 8, got {self.downsample}")
         if self.channels < 1:
-            raise ValueError(f"channels must be positive, got {self.channels}")
+            raise FieldError("channels", f"must be positive, got {self.channels}")
 
     @property
     def strides(self):

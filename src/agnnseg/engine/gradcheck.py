@@ -37,7 +37,12 @@ class GradCheckReport:
 
 
 def central_difference(fn, inputs, index, coord, eps):
-    """d fn / d inputs[index][coord] by symmetric perturbation."""
+    """d fn / d inputs[index][coord] by symmetric perturbation.
+
+    The coordinate is perturbed in place, bypassing the finite check that
+    assigning ``Tensor.data`` runs: ``orig +- eps`` stays finite for any eps
+    far below the float64 range, and ``finally`` restores ``orig``.
+    """
     t = inputs[index]
     orig = t.data[coord]
     try:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, all_finite
+from .tensor import GradientMap, Tensor, active_tape
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -43,9 +43,10 @@ def op_kinds():
     return sorted(_OPS)
 
 
-def _require(cond, message):
+def _require(cond, message, *args):
+    """Raise ValueError(message.format(*args)) unless ``cond``; a pass builds no string."""
     if not cond:
-        raise ValueError(message)
+        raise ValueError(message.format(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +85,28 @@ def _conv2d_forward(arrays, attrs):
     w = arrays[1]
     bias = arrays[2] if len(arrays) == 3 else None
     stride = int(attrs.get("stride", 1))
-    _require(x.ndim == 3, f"conv2d input must be rank 3, got shape {x.shape}")
-    _require(w.ndim == 4, f"conv2d kernel must be rank 4, got shape {w.shape}")
+    _require(x.ndim == 3, "conv2d input must be rank 3, got shape {}", x.shape)
+    _require(w.ndim == 4, "conv2d kernel must be rank 4, got shape {}", w.shape)
     kh, kw, c_in, c_out = w.shape
     _require(
         kh in SUPPORTED_KERNEL_SIZES and kw in SUPPORTED_KERNEL_SIZES,
-        f"conv2d kernel size {kh}x{kw} not in {SUPPORTED_KERNEL_SIZES}",
+        "conv2d kernel size {}x{} not in {}", kh, kw, SUPPORTED_KERNEL_SIZES,
     )
-    _require(stride in SUPPORTED_STRIDES, f"conv2d stride {stride} not in {SUPPORTED_STRIDES}")
+    _require(stride in SUPPORTED_STRIDES, "conv2d stride {} not in {}", stride, SUPPORTED_STRIDES)
     _require(
         x.shape[2] == c_in,
-        f"conv2d channel mismatch: input has {x.shape[2]} channels, kernel expects {c_in}",
+        "conv2d channel mismatch: input has {} channels, kernel expects {}", x.shape[2], c_in,
     )
     if bias is not None:
         _require(
             bias.shape == (c_out,),
-            f"conv2d bias shape {bias.shape} does not match {c_out} output channels",
+            "conv2d bias shape {} does not match {} output channels", bias.shape, c_out,
         )
     h_out, w_out = (x.shape[0] - 1) // stride + 1, (x.shape[1] - 1) // stride + 1
     colmat = _im2col(x, kh, kw, stride, h_out, w_out)
     out = colmat @ w.reshape(kh * kw * c_in, c_out)
     if bias is not None:
-        out = out + bias
+        out += bias  # in place on the fresh GEMM output: same ufunc, same bits
     saved = {"colmat": colmat, "w": w, "x_shape": x.shape, "has_bias": bias is not None}
     return out.reshape(h_out, w_out, c_out), saved
 
@@ -143,8 +144,10 @@ _register("conv2d")((_conv2d_forward, _conv2d_vjp))
 
 def _matmul_forward(arrays, attrs):
     a, b = arrays
-    _require(a.ndim == 2 and b.ndim == 2, f"matmul needs rank-2 inputs, got {a.shape} @ {b.shape}")
-    _require(a.shape[1] == b.shape[0], f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    _require(
+        a.ndim == 2 and b.ndim == 2, "matmul needs rank-2 inputs, got {} @ {}", a.shape, b.shape
+    )
+    _require(a.shape[1] == b.shape[0], "matmul inner dims differ: {} @ {}", a.shape, b.shape)
     return a @ b, {"a": a, "b": b}
 
 
@@ -157,7 +160,7 @@ _register("matmul")((_matmul_forward, _matmul_vjp))
 
 def _transpose_forward(arrays, attrs):
     (a,) = arrays
-    _require(a.ndim == 2, f"transpose needs a rank-2 input, got shape {a.shape}")
+    _require(a.ndim == 2, "transpose needs a rank-2 input, got shape {}", a.shape)
     return np.ascontiguousarray(a.T), {}
 
 
@@ -170,7 +173,7 @@ _register("transpose")((_transpose_forward, _transpose_vjp))
 
 def _row_softmax_forward(arrays, attrs):
     (a,) = arrays
-    _require(a.ndim == 2, f"row_softmax needs a rank-2 input, got shape {a.shape}")
+    _require(a.ndim == 2, "row_softmax needs a rank-2 input, got shape {}", a.shape)
     shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
@@ -237,7 +240,7 @@ _register("relu")((_relu_forward, _relu_vjp))
 
 def _gap_forward(arrays, attrs):
     (x,) = arrays
-    _require(x.ndim == 3, f"global_avg_pool needs a rank-3 grid, got shape {x.shape}")
+    _require(x.ndim == 3, "global_avg_pool needs a rank-3 grid, got shape {}", x.shape)
     mean = x.mean(axis=(0, 1))
     # constant channels must pool to exactly that constant
     lo = x.min(axis=(0, 1))
@@ -256,7 +259,7 @@ _register("global_avg_pool")((_gap_forward, _gap_vjp))
 
 def _add_forward(arrays, attrs):
     a, b = arrays
-    _require(a.shape == b.shape, f"add shape mismatch: {a.shape} vs {b.shape}")
+    _require(a.shape == b.shape, "add shape mismatch: {} vs {}", a.shape, b.shape)
     return a + b, {}
 
 
@@ -271,7 +274,7 @@ def _mul_forward(arrays, attrs):
     a, b = arrays
     _require(
         a.shape == b.shape or a.ndim == 0 or b.ndim == 0,
-        f"mul needs equal shapes or a scalar operand: {a.shape} vs {b.shape}",
+        "mul needs equal shapes or a scalar operand: {} vs {}", a.shape, b.shape,
     )
     return a * b, {"a": a, "b": b}
 
@@ -292,10 +295,10 @@ _register("mul")((_mul_forward, _mul_vjp))
 
 def _cbm_forward(arrays, attrs):
     x, v = arrays
-    _require(x.ndim == 3, f"channel_broadcast_mul grid must be rank 3, got {x.shape}")
+    _require(x.ndim == 3, "channel_broadcast_mul grid must be rank 3, got {}", x.shape)
     _require(
         v.shape == (x.shape[2],),
-        f"channel vector shape {v.shape} does not match {x.shape[2]} channels",
+        "channel vector shape {} does not match {} channels", v.shape, x.shape[2],
     )
     return x * v, {"x": x, "v": v}
 
@@ -312,7 +315,7 @@ def _concat_forward(arrays, attrs):
     _require(a.ndim == 3 and b.ndim == 3, "concat_channels needs rank-3 grids")
     _require(
         a.shape[:2] == b.shape[:2],
-        f"concat_channels spatial mismatch: {a.shape[:2]} vs {b.shape[:2]}",
+        "concat_channels spatial mismatch: {} vs {}", a.shape[:2], b.shape[:2],
     )
     return np.concatenate([a, b], axis=2), {"split": a.shape[2]}
 
@@ -341,10 +344,10 @@ _register("scalar_scale")((_scalar_scale_forward, _scalar_scale_vjp))
 def _reshape_forward(arrays, attrs):
     (x,) = arrays
     shape = tuple(int(d) for d in attrs["shape"])
-    _require(len(shape) <= 4 and all(d > 0 for d in shape), f"bad reshape target {shape}")
+    _require(len(shape) <= 4 and all(d > 0 for d in shape), "bad reshape target {}", shape)
     _require(
         math.prod(shape) == x.size,
-        f"reshape cannot map {x.shape} ({x.size} elements) to {shape}",
+        "reshape cannot map {} ({} elements) to {}", x.shape, x.size, shape,
     )
     return x.reshape(shape), {"orig": x.shape}
 
@@ -365,9 +368,9 @@ def _weighted_bce_forward(arrays, attrs):
     target = np.asarray(attrs["target"])
     eta = float(attrs["eta"])
     clamp = float(attrs.get("clamp", 1e-12))
-    _require(pred.shape == target.shape, f"bce shape mismatch: {pred.shape} vs {target.shape}")
+    _require(pred.shape == target.shape, "bce shape mismatch: {} vs {}", pred.shape, target.shape)
     _require(np.all((target == 0.0) | (target == 1.0)), "bce target must be binary")
-    _require(0.0 <= eta <= 1.0, f"bce weight eta={eta} outside [0, 1]")
+    _require(0.0 <= eta <= 1.0, "bce weight eta={} outside [0, 1]", eta)
     p = np.clip(pred, clamp, 1.0 - clamp)
     loss = -np.sum((1.0 - eta) * target * np.log(p) + eta * (1.0 - target) * np.log1p(-p))
     inside = (pred > clamp) & (pred < 1.0 - clamp)
@@ -391,8 +394,10 @@ def apply(kind, inputs, attrs=None):
     """Run one op and record it on the active tape, if any.
 
     ``inputs`` is a list of tensors, ``attrs`` a dict of non-differentiable
-    attributes.  Rejects unknown kinds, incompatible shapes, and non-finite
-    inputs.
+    attributes.  Rejects unknown kinds, non-tensor inputs and incompatible
+    shapes.  Inputs are not scanned for NaN or Inf: every tensor was checked
+    when its value was created or assigned, and the output is checked when
+    it becomes a tensor.
     """
     op = _OPS.get(kind)
     if op is None:
@@ -402,10 +407,7 @@ def apply(kind, inputs, attrs=None):
     for t in inputs:
         if not isinstance(t, Tensor):
             raise TypeError(f"{kind} input must be a Tensor, got {type(t).__name__}")
-        data = t.data
-        if not all_finite(data):
-            raise NonFiniteError(f"{kind} input contains NaN or Inf")
-        arrays.append(data)
+        arrays.append(t.data)
     out_arr, saved = op.forward(arrays, attrs)
     out = Tensor(out_arr)
     tape = active_tape()

@@ -1,10 +1,12 @@
 """Core autodiff state: tensors, the recording tape, and gradient maps.
 
 Every numeric quantity in the model is a :class:`Tensor` wrapping a dense
-float64 numpy array (row-major, rank <= 4, finite values).  Operations
-applied while a :class:`Tape` is active are recorded in topological order,
-so a single reverse sweep over the records yields exact gradients for
-everything on the tape.
+float64 numpy array (row-major, rank <= 4, finite values).  A value is
+checked once, when it is created or assigned to ``Tensor.data``; ops read
+their inputs unchecked, so writing into a tensor's array in place falls
+outside the contract.  Operations applied while a :class:`Tape` is active
+are recorded in topological order, so a single reverse sweep over the
+records yields exact gradients for everything on the tape.
 """
 
 from __future__ import annotations
@@ -58,27 +60,39 @@ class suspend_taping:
 class Tensor:
     """A dense value with an identity, usable as a leaf or an op output.
 
-    Data must stay finite and is treated as immutable while any tape that
-    references the tensor is still in use.  ``name`` is optional and only
-    meaningful for learnable parameters (checkpointing, gradient reports).
+    Every value given to the constructor or assigned to ``data`` becomes a
+    float64 array and is checked there: rank <= 4, positive dims, finite.
+    The array is treated as immutable while any tape that references the
+    tensor is still in use; an in-place write is neither checked nor
+    recorded.  ``name`` is optional and only meaningful for learnable
+    parameters (checkpointing, gradient reports); a non-finite value is
+    reported under the name, or else the id.
     """
 
-    __slots__ = ("data", "id", "name")
+    __slots__ = ("_data", "id", "name")
 
     def __init__(self, data, name=None):
-        if type(data) is np.ndarray and data.dtype == np.float64:
-            arr = data
+        self.id = next(_id_counter)
+        self.name = name
+        self.data = data
+
+    @property
+    def data(self):
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        if type(value) is np.ndarray and value.dtype == np.float64:
+            arr = value
         else:
-            arr = np.asarray(data, dtype=np.float64)
+            arr = np.asarray(value, dtype=np.float64)
         if arr.ndim > 4:
             raise ValueError(f"tensor rank {arr.ndim} exceeds 4 (shape {arr.shape})")
         if 0 in arr.shape:
             raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
         if not all_finite(arr):
-            raise NonFiniteError("tensor contains NaN or Inf")
-        self.data = arr
-        self.id = next(_id_counter)
-        self.name = name
+            raise NonFiniteError(f"tensor {self.name or self.id} contains NaN or Inf")
+        self._data = arr
 
     @property
     def shape(self):

@@ -1,4 +1,4 @@
-"""The error every file reader raises for malformed input."""
+"""Errors that name what to fix: a malformed file, or a setting out of range."""
 
 
 class FormatError(ValueError):
@@ -8,3 +8,12 @@ class FormatError(ValueError):
         super().__init__(f"{path}: {message} at byte {offset}")
         self.path = path
         self.offset = offset
+
+
+class FieldError(ValueError):
+    """A settings object given a value outside its range; names the field."""
+
+    def __init__(self, field, reason):
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason

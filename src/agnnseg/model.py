@@ -9,7 +9,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import head as head_mod
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
-from .engine import Tensor
+from .engine import NonFiniteError, Tensor
 from .graph import AttentionParams, init_attention_params, run_graph
 from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
 
@@ -102,7 +102,8 @@ def save_model(path, params: ModelParameters, k_iters=3):
 def load_model(path):
     """Rebuild ModelParameters from a checkpoint; returns (params, meta).
 
-    Every meta value must be a finite whole number of at least 1.
+    Every meta value must be a finite whole number of at least 1, and every
+    tensor finite.
     """
     tensors, meta = ckpt.read_checkpoint(path)
     for key in ("channels", "downsample", "k_iters"):
@@ -131,5 +132,8 @@ def load_model(path):
             raise CheckpointMismatchError(
                 f"{path}: tensor {name} has shape {stored.shape}, expected {tensor.data.shape}"
             )
-        tensor.data = stored.copy()
+        try:
+            tensor.data = stored.copy()
+        except NonFiniteError as exc:
+            raise CheckpointMismatchError(f"{path}: {exc}") from exc
     return params, meta

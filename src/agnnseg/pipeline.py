@@ -18,6 +18,7 @@ import numpy as np
 from . import head as head_mod
 from . import metrics
 from .engine import NonFiniteError, Tape, backward
+from .errors import FieldError
 from .graph import run_graph
 from .head import mean_loss
 from .model import (
@@ -59,10 +60,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.videos_per_batch, self.n_prime, self.k_iters, self.iterations) < 1:
-            raise ValueError("videos_per_batch, n_prime, k_iters, iterations must be >= 1")
-        if self.lr < 0 or not 0 <= self.momentum < 1:
-            raise ValueError("need lr >= 0 and momentum in [0, 1)")
+        for name in ("videos_per_batch", "n_prime", "k_iters", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise FieldError(name, f"must be >= 1, got {value}")
+        if self.lr < 0:
+            raise FieldError("lr", f"must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise FieldError("momentum", f"must be in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -81,10 +86,13 @@ class SGD:
         self.velocity = {name: np.zeros_like(t.data) for name, t in self.named}
 
     def step(self, grads):
-        for name, tensor in self.named:
-            v = self.momentum * self.velocity[name] - self.lr * grads[tensor]
-            self.velocity[name] = v
-            tensor.data = tensor.data + v
+        """Assign each tensor its update; a non-finite one raises NonFiniteError
+        naming the tensor, with no overflow warning on the way."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, tensor in self.named:
+                v = self.momentum * self.velocity[name] - self.lr * grads[tensor]
+                self.velocity[name] = v
+                tensor.data = tensor.data + v
 
 
 def dynamic_batch_loss(batch, params, config: TrainConfig):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pnm
-from .errors import FormatError
+from .errors import FieldError, FormatError
 
 SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
@@ -40,8 +40,10 @@ class SyntheticVideoSpec:
     def __post_init__(self):
         if self.shape_class not in SHAPE_CLASSES:
             raise ValueError(f"unknown shape class {self.shape_class!r}")
-        if self.num_frames < 1 or self.canvas < 8:
-            raise ValueError("need at least 1 frame and an 8px canvas")
+        if self.num_frames < 1:
+            raise FieldError("num_frames", f"must be >= 1, got {self.num_frames}")
+        if self.canvas < 8:
+            raise FieldError("canvas", f"must be >= 8, got {self.canvas}")
 
 
 @dataclass(frozen=True)

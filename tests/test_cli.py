@@ -39,6 +39,17 @@ def tiny_checkpoint(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def nan_checkpoint(tmp_path_factory):
+    from agnnseg.checkpoint import write_checkpoint
+    path = tmp_path_factory.mktemp("nan_ckpt") / "nan.agnn"
+    named = [(n, t.data) for n, t in init_model(channels=4, downsample=4, seed=0).named_tensors()]
+    assert named[0][0] == "encoder.conv1.w"
+    named[0] = (named[0][0], np.full(named[0][1].shape, np.nan))
+    write_checkpoint(path, named, meta={"channels": 4, "downsample": 4, "k_iters": 2})
+    return path
+
+
+@pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("clidata")
     generate_dataset(out, seed=2, train_videos=2, test_videos=1, num_frames=5,
@@ -95,6 +106,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "iters"),
+        ("train", "n_prime_train"),
+        ("train", "k_iters"),
+        ("gen-data", "frames_per_video"),
+    ])
+    def test_range_error_names_the_config_key(self, tmp_path, tiny_dataset, capsys, command, key):
+        path = write_config(tmp_path / "c.cfg", **{key: 0})
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--data", str(tiny_dataset)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {path}: {key} must be >= 1, got 0\n"
 
 
 class TestGenData:
@@ -227,6 +252,15 @@ class TestInfer:
         assert code == 4
         assert "meta.channels is nan" in capsys.readouterr().err
 
+    def test_nan_tensor_exit_4(self, tmp_path, tiny_dataset, nan_checkpoint, capsys):
+        video = tiny_dataset / "test" / "video_0000"
+        code = main(["infer", "--checkpoint", str(nan_checkpoint), "--video-dir", str(video),
+                     "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{nan_checkpoint}: tensor encoder.conv1.w contains NaN or Inf" in err
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_checkpoint_exit_4(self, tmp_path, tiny_dataset):
         params = init_model(channels=4, downsample=4, seed=0)
         from agnnseg.checkpoint import write_checkpoint
@@ -256,6 +290,13 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
                      "--split", "absent"])
         assert code == 2
+
+    def test_nan_tensor_exit_4(self, tiny_dataset, nan_checkpoint, capsys):
+        code = main(["eval", "--checkpoint", str(nan_checkpoint), "--data", str(tiny_dataset)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert f"{nan_checkpoint}: tensor encoder.conv1.w contains NaN or Inf" in captured.err
+        assert captured.out == ""
 
     def test_zero_n_prime_exit_1(self, tiny_dataset, tiny_checkpoint, capsys):
         code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),

@@ -5,6 +5,7 @@ import pytest
 
 from agnnseg.encoder import EncoderConfig, encode, init_encoder, output_grid_shape
 from agnnseg.engine import Tape, Tensor, backward
+from agnnseg.engine import ops as ops_mod, tensor as tensor_mod
 
 import oracles
 
@@ -81,6 +82,21 @@ class TestEncode:
         interior = out[3:-3, 3:-3, :]
         for c in range(out.shape[2]):
             np.testing.assert_allclose(interior[:, :, c], interior[0, 0, c], atol=1e-12)
+
+    def test_each_value_scanned_once(self, monkeypatch):
+        # the frame and the 7 op outputs are scanned as they become tensors;
+        # parameters and op inputs, checked when they were made, are not
+        params = init_encoder(EncoderConfig(channels=8, downsample=4), 0)
+        frame = np.random.default_rng(4).uniform(size=(64, 64, 3))
+        scans = []
+        real = tensor_mod.all_finite
+        # ops is patched too, so a scan of op inputs bound there by import is counted
+        for mod in (tensor_mod, ops_mod):
+            monkeypatch.setattr(mod, "all_finite", lambda arr: scans.append(arr) or real(arr),
+                                raising=False)
+        with Tape() as tape:
+            encode(frame, params)
+        assert len(scans) == 1 + len(tape.records) == 8
 
     def test_gradients_flow_to_all_encoder_parameters(self):
         params = init_encoder(EncoderConfig(channels=3, downsample=4), 1)

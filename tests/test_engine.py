@@ -63,9 +63,31 @@ class TestTensor:
         with pytest.raises(NonFiniteError):
             Tensor(arr)
         x = Tensor(np.full(4, 1e308))
-        x.data[2] = bad  # mutate after construction to reach the apply check
         with pytest.raises(NonFiniteError):
-            apply("relu", [x])
+            x.data = arr
+        np.testing.assert_array_equal(x.data, np.full(4, 1e308))
+
+    def test_assigned_float32_becomes_float64(self):
+        x = Tensor(np.zeros((1, 2)))
+        value = np.array([[0.1, -2.5]], dtype=np.float32)
+        x.data = value
+        assert type(x.data) is np.ndarray and x.data.dtype == np.float64
+        np.testing.assert_array_equal(x.data, value.astype(np.float64))
+
+    def test_assigned_finite_values_whose_sum_overflows_accepted(self):
+        x = Tensor(np.zeros(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x.data = np.full(4, 1e308)
+        np.testing.assert_array_equal(x.data, np.full(4, 1e308))
+
+    def test_nonfinite_assignment_names_the_tensor(self):
+        bad = np.array([1.0, np.nan])
+        with pytest.raises(NonFiniteError, match="^tensor attn.alpha contains NaN or Inf$"):
+            Tensor(np.zeros(2), name="attn.alpha").data = bad
+        unnamed = Tensor(np.zeros(2))
+        with pytest.raises(NonFiniteError, match=f"^tensor {unnamed.id} contains NaN or Inf$"):
+            unnamed.data = bad
 
 
 class TestForwardContracts:
@@ -160,10 +182,13 @@ class TestForwardContracts:
             apply("add", [t(np.zeros((2, 2))), t(np.zeros((2, 3)))])
 
     def test_nonfinite_input_rejected(self):
+        # a non-finite value cannot become an op input: assignment rejects it
         x = t(np.ones((2, 2)))
-        x.data[0, 0] = np.nan  # mutate after construction to bypass ctor check
+        bad = np.ones((2, 2))
+        bad[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
-            apply("relu", [x])
+            x.data = bad
+        np.testing.assert_array_equal(apply("relu", [x]).data, np.ones((2, 2)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown op kind"):
@@ -295,6 +320,20 @@ class TestGradCheck:
         x = t(np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
             grad_check(lambda a: engine.relu(a), [x])
+
+    def test_every_coordinate_restored(self):
+        rng = np.random.default_rng(12)
+        target = (rng.uniform(size=(2, 3)) > 0.5).astype(float)
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal())
+        before = [x.data.copy() for x in (a, b)]
+
+        def fn(a_, b_):
+            return engine.weighted_bce(engine.sigmoid(engine.mul(a_, b_)), target, eta=0.3)
+
+        report = grad_check(fn, [a, b])
+        assert report.max_rel_err < 1e-6, str(report)
+        for x, want in zip((a, b), before):
+            assert x.data.tobytes() == want.tobytes()
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):

@@ -147,6 +147,20 @@ class TestTraining:
             assert np.array_equal(np.stack(targets), want)
         assert picked[0] != picked[1]
 
+    def test_nonfinite_update_names_the_parameter(self, dataset, monkeypatch):
+        # a reshape-free static loss whose alpha gradient is 1e300: at
+        # lr=1e10 the first update overflows, and the assignment names alpha
+        import agnnseg.pipeline as pl
+        from agnnseg import engine
+        from agnnseg.pipeline import DivergenceError
+
+        monkeypatch.setattr(pl, "static_batch_loss",
+                            lambda scenes, params: engine.scalar_scale(params.attention.alpha, 1e300))
+        with pytest.raises(DivergenceError) as info:
+            train(dataset, quick_config(lr=1e10), channels=CHANNELS, downsample=4)
+        assert info.value.iteration == 0
+        assert str(info.value) == "iteration 0: tensor attn.alpha contains NaN or Inf"
+
     def test_too_few_videos_rejected(self, dataset):
         with pytest.raises(ValueError, match="train split"):
             train(dataset, quick_config(videos_per_batch=99), channels=CHANNELS, downsample=4)
