@@ -2,8 +2,15 @@
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 config parse error, out-of-range config value or bad option
-value, 2 I/O error or malformed input file, 3 training divergence,
-4 checkpoint/config shape mismatch.
+value, 2 I/O error, malformed input file or too small a dataset, 3 training
+divergence, 4 checkpoint/config shape mismatch.
+
+A --config file holds key=value lines.  Each key takes its default, type and
+range from the dataclass field that owns it: canvas and frames_per_video from
+SyntheticVideoSpec.canvas and .num_frames; channels and downsample from
+EncoderConfig; n_prime_train, k_iters, lr, momentum, iters and seed from
+TrainConfig.n_prime, .k_iters, .lr, .momentum, .iterations and .seed (seed
+also seeds gen-data).  out_dir is the gen-data output without --out.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from pathlib import Path
 
 from . import pnm
 from .encoder import EncoderConfig
-from .errors import FieldError, FormatError
-from .model import CheckpointMismatchError, load_model, save_model
-from .pipeline import DivergenceError, TrainConfig, evaluate, infer_video, iocs_infer, train
+from .errors import DatasetError, FieldError, FormatError
+from .model import CheckpointMismatchError, init_model, load_model, save_model
+from .pipeline import (COSEG_N_PRIME, MASK_THRESHOLD, TEST_N_PRIME, DivergenceError,
+                       TrainConfig, evaluate, infer_video, iocs_infer, train)
 from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
 
 EXIT_OK = 0
@@ -25,25 +33,19 @@ EXIT_IO = 2
 EXIT_DIVERGED = 3
 EXIT_SHAPE = 4
 
-CONFIG_DEFAULTS = {
-    "canvas": 64,
-    "channels": 32,
-    "downsample": 4,
-    "frames_per_video": 24,
-    "n_prime_train": 3,
-    "k_iters": 3,
-    "lr": 1e-3,
-    "momentum": 0.9,
-    "iters": 2000,
-    "seed": 0,
-    "out_dir": ".",
+# config key -> (dataclass, field) that owns its default, type and range
+CONFIG_FIELDS = {
+    "canvas": (SyntheticVideoSpec, "canvas"),
+    "frames_per_video": (SyntheticVideoSpec, "num_frames"),
+    "channels": (EncoderConfig, "channels"),
+    "downsample": (EncoderConfig, "downsample"),
+    "n_prime_train": (TrainConfig, "n_prime"),
+    "k_iters": (TrainConfig, "k_iters"),
+    "lr": (TrainConfig, "lr"),
+    "momentum": (TrainConfig, "momentum"),
+    "iters": (TrainConfig, "iterations"),
+    "seed": (TrainConfig, "seed"),
 }
-
-_INT_KEYS = {
-    "canvas", "channels", "downsample", "frames_per_video",
-    "n_prime_train", "k_iters", "iters", "seed",
-}
-_FLOAT_KEYS = {"lr", "momentum"}
 
 
 class ConfigError(ValueError):
@@ -51,8 +53,12 @@ class ConfigError(ValueError):
 
 
 def parse_config(path):
-    """key=value lines; blank lines and # comments allowed; unknown keys fail."""
-    values = dict(CONFIG_DEFAULTS)
+    """key=value lines; blank lines and # comments allowed; unknown keys fail.
+
+    Each value is parsed with the type of its default.
+    """
+    values = {key: getattr(cls, name) for key, (cls, name) in CONFIG_FIELDS.items()}
+    values["out_dir"] = "."
     if path is None:
         return values
     try:
@@ -67,15 +73,10 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
+        if key not in values:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = type(values[key])(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     if values["canvas"] % values["downsample"]:
@@ -85,14 +86,15 @@ def parse_config(path):
     return values
 
 
-def _build(config_path, cls, cfg, **keys):
-    """``cls`` with each field set from the config key that ``keys`` names.
+def _build(config_path, cls, cfg):
+    """``cls`` with every field that a config key owns set from that key.
 
     A field out of its range is reported under its key, as an error in the
     config file.
     """
+    keys = {name: key for key, (owner, name) in CONFIG_FIELDS.items() if owner is cls}
     try:
-        return cls(**{field: cfg[key] for field, key in keys.items()})
+        return cls(**{name: cfg[key] for name, key in keys.items()})
     except FieldError as exc:
         raise ConfigError(f"{config_path}: {keys[exc.field]} {exc.reason}") from exc
 
@@ -102,15 +104,9 @@ def _check_n_prime(n_prime, minimum):
         raise ConfigError(f"--n-prime must be >= {minimum}, got {n_prime}")
 
 
-def _export_mask(path, prob_grid, out_shape, factor, threshold=0.5):
-    up = bilinear_upsample(prob_grid, factor)[: out_shape[0], : out_shape[1]]
-    pnm.write_pgm(path, up > threshold)
-
-
 def cmd_gen_data(args):
     cfg = parse_config(args.config)
-    spec = _build(args.config, SyntheticVideoSpec, cfg, num_frames="frames_per_video",
-                  canvas="canvas")
+    spec = _build(args.config, SyntheticVideoSpec, cfg)
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
     generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
     print(out / "manifest.txt")
@@ -119,14 +115,14 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = parse_config(args.config)
-    train_cfg = _build(args.config, TrainConfig, cfg, n_prime="n_prime_train", k_iters="k_iters",
-                       lr="lr", momentum="momentum", iterations="iters", seed="seed")
-    encoder = _build(args.config, EncoderConfig, cfg, channels="channels", downsample="downsample")
+    train_cfg = _build(args.config, TrainConfig, cfg)
+    encoder = _build(args.config, EncoderConfig, cfg)
     manifest = load_manifest(args.data)
-    result = train(manifest, train_cfg, channels=encoder.channels, downsample=encoder.downsample)
+    params = init_model(encoder.channels, encoder.downsample, seed=train_cfg.seed)
+    result = train(manifest, train_cfg, params=params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "checkpoint.agnn", result.params, k_iters=cfg["k_iters"])
+    save_model(out / "checkpoint.agnn", result.params, k_iters=train_cfg.k_iters)
     with open(out / "loss.csv", "w") as f:
         for i, value in enumerate(result.losses):
             f.write(f"{i},{value:.9f}\n")
@@ -149,20 +145,25 @@ def cmd_infer(args):
         raise CheckpointMismatchError(
             f"frame size {frames.shape[1:3]} not divisible by model downsample {d}"
         )
+    coseg = args.task == "coseg"
+    default = COSEG_N_PRIME if coseg else TEST_N_PRIME
+    n_prime = default if args.n_prime is None else args.n_prime
     # each co-segmentation graph holds the target and at least one other image
-    _check_n_prime(args.n_prime, 2 if args.task == "coseg" and len(frames) > 1 else 1)
+    _check_n_prime(n_prime, 2 if coseg and len(frames) > 1 else 1)
     k_iters = int(meta["k_iters"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.task == "video":
-        probs = infer_video(frames, params, n_prime=args.n_prime, k_iters=k_iters)
-    else:
+    if coseg:
         probs = [
-            iocs_infer(frames, i, params, n_prime=args.n_prime, k_iters=k_iters)
+            iocs_infer(frames, i, params, n_prime=n_prime, k_iters=k_iters)
             for i in range(len(frames))
         ]
+    else:
+        probs = infer_video(frames, params, n_prime=n_prime, k_iters=k_iters)
+    height, width = frames.shape[1:3]
     for i, prob in enumerate(probs):
-        _export_mask(out / f"pred_{i:04d}.pgm", prob, frames[i].shape[:2], d)
+        up = bilinear_upsample(prob, d)[:height, :width]
+        pnm.write_pgm(out / f"pred_{i:04d}.pgm", up > MASK_THRESHOLD)
     print(out)
     return EXIT_OK
 
@@ -201,7 +202,8 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--video-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-prime", type=int, default=5)
+    p.add_argument("--n-prime", type=int,
+                   help=f"nodes per graph (default {TEST_N_PRIME}, or {COSEG_N_PRIME} for coseg)")
     p.add_argument("--task", choices=("video", "coseg"), default="video")
     p.set_defaults(fn=cmd_infer)
 
@@ -209,7 +211,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--n-prime", type=int, default=5)
+    p.add_argument("--n-prime", type=int, default=TEST_N_PRIME)
     p.set_defaults(fn=cmd_eval)
     return parser
 
@@ -227,7 +229,7 @@ def main(argv=None):
     except CheckpointMismatchError as exc:
         print(f"shape mismatch: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (OSError, FormatError) as exc:
+    except (OSError, FormatError, DatasetError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,0 +1,28 @@
+"""Training hyperparameters: the one home of K, training N' and the gate switch,
+which the graph, model and pipeline modules name as ``TrainConfig.<field>``."""
+
+from dataclasses import dataclass
+
+from .errors import FieldError
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    videos_per_batch: int = 2
+    n_prime: int = 3
+    k_iters: int = 3
+    lr: float = 1e-3
+    momentum: float = 0.9
+    iterations: int = 2000
+    gated: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("videos_per_batch", "n_prime", "k_iters", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise FieldError(name, f"must be >= 1, got {value}")
+        if self.lr < 0:
+            raise FieldError("lr", f"must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise FieldError("momentum", f"must be in [0, 1), got {self.momentum}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Tensor
+from .engine import Tensor, tensor_fields
 from .errors import FieldError
 
 
@@ -46,16 +46,7 @@ class EncoderParams:
     proj_b: Tensor
 
     def named(self):
-        return [
-            ("encoder.conv1.w", self.conv1_w),
-            ("encoder.conv1.b", self.conv1_b),
-            ("encoder.conv2.w", self.conv2_w),
-            ("encoder.conv2.b", self.conv2_b),
-            ("encoder.conv3.w", self.conv3_w),
-            ("encoder.conv3.b", self.conv3_b),
-            ("encoder.proj.w", self.proj_w),
-            ("encoder.proj.b", self.proj_b),
-        ]
+        return tensor_fields(self)
 
 
 def he_uniform(rng, shape):

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, Tensor, active_tape
+from .tensor import GradientMap, NonFiniteError, Tensor, active_tape
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -397,7 +397,7 @@ def apply(kind, inputs, attrs=None):
     attributes.  Rejects unknown kinds, non-tensor inputs and incompatible
     shapes.  Inputs are not scanned for NaN or Inf: every tensor was checked
     when its value was created or assigned, and the output is checked when
-    it becomes a tensor.
+    it becomes a tensor (a NaN or Inf there raises an error naming ``kind``).
     """
     op = _OPS.get(kind)
     if op is None:
@@ -409,7 +409,10 @@ def apply(kind, inputs, attrs=None):
             raise TypeError(f"{kind} input must be a Tensor, got {type(t).__name__}")
         arrays.append(t.data)
     out_arr, saved = op.forward(arrays, attrs)
-    out = Tensor(out_arr)
+    try:
+        out = Tensor(out_arr)
+    except NonFiniteError:
+        raise NonFiniteError(f"{kind} output contains NaN or Inf") from None
     tape = active_tape()
     if tape is not None:
         tape.record(kind, inputs, out, attrs, saved)

@@ -157,6 +157,11 @@ class Tape:
         return self.records[-1].output_id
 
 
+def tensor_fields(obj):
+    """(name, tensor) for each Tensor attribute of ``obj``, in assignment order."""
+    return [(t.name, t) for t in vars(obj).values() if isinstance(t, Tensor)]
+
+
 class GradientMap:
     """Gradients keyed by tensor; tensors absent from the tape map to zeros."""
 
@@ -168,9 +173,3 @@ class GradientMap:
         if g is None:
             return np.zeros_like(tensor.data)
         return g
-
-    def __contains__(self, tensor):
-        return tensor.id in self._grads
-
-    def by_id(self, tensor_id):
-        return self._grads.get(tensor_id)

@@ -1,4 +1,4 @@
-"""Errors that name what to fix: a malformed file, or a setting out of range."""
+"""Errors that name what to fix: a malformed file, a bad setting, a small dataset."""
 
 
 class FormatError(ValueError):
@@ -17,3 +17,7 @@ class FieldError(ValueError):
         super().__init__(f"{field} {reason}")
         self.field = field
         self.reason = reason
+
+
+class DatasetError(ValueError):
+    """A well-formed dataset that cannot serve the request; names its manifest."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Tensor
+from .config import TrainConfig
+from .engine import Tensor, tensor_fields
 
 
 @dataclass
@@ -39,21 +40,7 @@ class AttentionParams:
     b_u: Tensor
 
     def named(self):
-        return [
-            ("attn.w_f", self.w_f),
-            ("attn.w_h", self.w_h),
-            ("attn.w_l", self.w_l),
-            ("attn.alpha", self.alpha),
-            ("attn.w_c", self.w_c),
-            ("attn.gate.w", self.gate_w),
-            ("attn.gate.b", self.gate_b),
-            ("attn.gru.w_z", self.w_z),
-            ("attn.gru.b_z", self.b_z),
-            ("attn.gru.w_r", self.w_r),
-            ("attn.gru.b_r", self.b_r),
-            ("attn.gru.w_u", self.w_u),
-            ("attn.gru.b_u", self.b_u),
-        ]
+        return tensor_fields(self)
 
 
 def init_attention_params(channels, seed) -> AttentionParams:
@@ -163,7 +150,7 @@ def convgru_update(h_prev, m, params: AttentionParams) -> Tensor:
     return engine.add(h_prev, engine.mul(z, engine.add(cand, engine.scalar_scale(h_prev, -1.0))))
 
 
-def propagate_round(states, params: AttentionParams, gated=True):
+def propagate_round(states, params: AttentionParams, gated=TrainConfig.gated):
     """One message-passing round with Jacobi semantics; returns the new states.
 
     Every edge, message, and gate is computed from the incoming states; all
@@ -190,7 +177,7 @@ def propagate_round(states, params: AttentionParams, gated=True):
     return new_states
 
 
-def run_graph(states, k_iters: int, params: AttentionParams, gated=True):
+def run_graph(states, k_iters: int, params: AttentionParams, gated=TrainConfig.gated):
     """Apply ``k_iters`` rounds to a list of node states; returns the final states.
 
     The states must be non-empty and share one (H, W, C) shape.

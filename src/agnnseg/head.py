@@ -8,7 +8,7 @@ import numpy as np
 
 from . import engine
 from .encoder import he_uniform
-from .engine import Tensor
+from .engine import Tensor, tensor_fields
 
 LOG_CLAMP = 1e-12
 
@@ -25,14 +25,7 @@ class ReadoutParams:
     proj_b: Tensor
 
     def named(self):
-        return [
-            ("readout.conv1.w", self.conv1_w),
-            ("readout.conv1.b", self.conv1_b),
-            ("readout.conv2.w", self.conv2_w),
-            ("readout.conv2.b", self.conv2_b),
-            ("readout.proj.w", self.proj_w),
-            ("readout.proj.b", self.proj_b),
-        ]
+        return tensor_fields(self)
 
 
 @dataclass
@@ -43,7 +36,7 @@ class AuxParams:
     b: Tensor
 
     def named(self):
-        return [("aux.w", self.w), ("aux.b", self.b)]
+        return tensor_fields(self)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import head as head_mod
+from .config import TrainConfig
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .engine import NonFiniteError, Tensor
 from .graph import AttentionParams, init_attention_params, run_graph
@@ -15,7 +16,7 @@ from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
 
 
 class CheckpointMismatchError(ValueError):
-    """Checkpoint contents do not describe a loadable model."""
+    """A checkpoint, or an input size, that does not fit a loadable model."""
 
 
 @dataclass
@@ -44,7 +45,8 @@ class ModelParameters:
         )
 
 
-def init_model(channels=32, downsample=4, seed=0) -> ModelParameters:
+def init_model(channels=EncoderConfig.channels, downsample=EncoderConfig.downsample,
+               seed=0) -> ModelParameters:
     """Deterministic initialization; component seeds derive from one seed."""
     seeds = np.random.SeedSequence(seed).generate_state(4)
     config = EncoderConfig(channels=channels, downsample=downsample)
@@ -61,7 +63,7 @@ def encode_frames(frames, params: ModelParameters):
     return [encode(f, params.encoder) for f in frames]
 
 
-def predict_clip(frames, params: ModelParameters, k_iters=3, gated=True):
+def predict_clip(frames, params: ModelParameters, k_iters, gated):
     """Masks for a clip: encode, run the graph, read out every node.
 
     Returns one probability map per frame: tensors at feature resolution
@@ -72,9 +74,9 @@ def predict_clip(frames, params: ModelParameters, k_iters=3, gated=True):
     return [head_mod.readout(h, v, params.readout) for h, v in zip(finals, embeddings)]
 
 
-def clip_loss(frames, grid_masks, params: ModelParameters, k_iters=3, gated=True):
+def clip_loss(frames, grid_masks, params: ModelParameters, k_iters, gated=TrainConfig.gated):
     """Per-frame weighted BCE against grid-resolution binary masks."""
-    preds = predict_clip(frames, params, k_iters=k_iters, gated=gated)
+    preds = predict_clip(frames, params, k_iters, gated)
     return [weighted_bce(gt, pred) for gt, pred in zip(grid_masks, preds)]
 
 
@@ -88,7 +90,7 @@ def static_loss(images, grid_masks, params: ModelParameters):
     return stats
 
 
-def save_model(path, params: ModelParameters, k_iters=3):
+def save_model(path, params: ModelParameters, k_iters=TrainConfig.k_iters):
     """Write all named tensors plus the hyperparameters inference needs."""
     named = [(name, t.data) for name, t in params.named_tensors()]
     meta = {

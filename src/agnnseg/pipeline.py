@@ -10,18 +10,19 @@ node state from group to group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import head as head_mod
 from . import metrics
+from .config import TrainConfig
 from .engine import NonFiniteError, Tape, backward
-from .errors import FieldError
+from .errors import DatasetError
 from .graph import run_graph
 from .head import mean_loss
 from .model import (
+    CheckpointMismatchError,
     ModelParameters,
     clip_loss,
     encode_frames,
@@ -34,6 +35,7 @@ from .synthdata import (
     downsample_mask,
     load_manifest,
     load_video,
+    near_equal_runs,
     read_video,
     render_static_scene,
     sample_training_clip,
@@ -48,26 +50,10 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    videos_per_batch: int = 2
-    n_prime: int = 3
-    k_iters: int = 3
-    lr: float = 1e-3
-    momentum: float = 0.9
-    iterations: int = 2000
-    gated: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("videos_per_batch", "n_prime", "k_iters", "iterations"):
-            value = getattr(self, name)
-            if value < 1:
-                raise FieldError(name, f"must be >= 1, got {value}")
-        if self.lr < 0:
-            raise FieldError("lr", f"must be >= 0, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise FieldError("momentum", f"must be in [0, 1), got {self.momentum}")
+# inference settings no dataclass owns: N' per video and per co-seg graph
+TEST_N_PRIME = 5
+COSEG_N_PRIME = 3
+MASK_THRESHOLD = 0.5
 
 
 @dataclass
@@ -107,29 +93,34 @@ def static_batch_loss(scenes, params):
     return mean_loss(static_loss([s[0] for s in scenes], [s[1] for s in scenes], params))
 
 
-def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
+def train(dataset, config: TrainConfig, params=None):
     """Optimize the model on a dataset's train split.
 
-    ``dataset`` is a DatasetManifest or a path to one.  Static and dynamic
-    iterations alternate, static on even steps.  Returns the trained
+    ``dataset`` is a DatasetManifest or a path to one; ``params`` is updated
+    in place and defaults to ``init_model(seed=config.seed)``.  Static and
+    dynamic iterations alternate, static on even steps.  Returns the trained
     parameters and one loss value per iteration; raises DivergenceError the
     moment anything goes non-finite.
     """
     manifest = dataset if isinstance(dataset, DatasetManifest) else load_manifest(dataset)
+    where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
     if len(entries) < config.videos_per_batch:
-        raise ValueError(
-            f"train split has {len(entries)} videos, need >= {config.videos_per_batch}"
+        raise DatasetError(
+            f"{where}: train split has {len(entries)} videos, need >= {config.videos_per_batch}"
         )
+    if params is None:
+        params = init_model(seed=config.seed)
+    downsample = params.downsample
     videos = [read_video(manifest, e) for e in entries]
     canvas = videos[0][0].shape[1]
     if canvas % downsample:
-        raise ValueError(f"canvas {canvas} not divisible by downsample factor {downsample}")
+        raise CheckpointMismatchError(
+            f"{where}: canvas {canvas} not divisible by downsample factor {downsample}"
+        )
     # uint8 frames and grid targets; only the sampled clip frames become float
     videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
 
-    if params is None:
-        params = init_model(channels=channels, downsample=downsample, seed=config.seed)
     optimizer = SGD(params.named_tensors(), config.lr, config.momentum)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 17)))
 
@@ -157,8 +148,6 @@ def train(dataset, config: TrainConfig, channels=32, downsample=4, params=None):
                         )
                     loss = dynamic_batch_loss(batch, params, config)
             value = float(loss.data)
-            if not math.isfinite(value):
-                raise DivergenceError(iteration, f"loss is {value}")
             grads = backward(tape, np.ones(()))
             optimizer.step(grads)
         except NonFiniteError as exc:
@@ -191,7 +180,8 @@ class InferenceSchedule:
         ]
 
 
-def infer_video(frames, params: ModelParameters, n_prime=5, k_iters=3, gated=True):
+def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME,
+                k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
     """Per-frame foreground probability maps, one strided subset at a time.
 
     Each subset becomes a graph (the last ones may hold fewer than n_prime
@@ -210,7 +200,8 @@ def infer_video(frames, params: ModelParameters, n_prime=5, k_iters=3, gated=Tru
     return out
 
 
-def iocs_infer(images, target_index, params: ModelParameters, n_prime=3, k_iters=3, gated=True):
+def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PRIME,
+               k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
     """Co-segmentation of one image against the rest of its group.
 
     The other images are split in dataset order into ceil((N-1)/(n_prime-1))
@@ -238,15 +229,7 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=3, k_iters
 
 
 def _near_equal_chunks(items, per_group):
-    count = -(-len(items) // per_group)
-    base, rem = divmod(len(items), count)
-    sizes = [base + 1] * rem + [base] * (count - rem)
-    chunks = []
-    start = 0
-    for size in sizes:
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
+    return near_equal_runs(items, -(-len(items) // per_group))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +243,8 @@ class EvalReport:
     mean_f: float
 
 
-def evaluate(dataset, params: ModelParameters, split="test", n_prime=5, k_iters=3,
-             gated=True, threshold=0.5):
+def evaluate(dataset, params: ModelParameters, split="test", n_prime=TEST_N_PRIME,
+             k_iters=TrainConfig.k_iters, gated=TrainConfig.gated, threshold=MASK_THRESHOLD):
     """Mean region and boundary agreement per video and across a split.
 
     Predictions are binarized at the sigmoid midpoint and compared at

@@ -215,7 +215,8 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
     return frames, masks
 
 
-def render_static_scene(canvas, seed, shape_class=None, distractor_count=1):
+def render_static_scene(canvas, seed, shape_class=None,
+                        distractor_count=SyntheticVideoSpec.distractor_count):
     """One image with a foreground shape and optional other-class clutter."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if shape_class is None:
@@ -263,10 +264,10 @@ def generate_dataset(
     seed=0,
     train_videos=20,
     test_videos=5,
-    num_frames=24,
-    canvas=64,
+    num_frames=SyntheticVideoSpec.num_frames,
+    canvas=SyntheticVideoSpec.canvas,
     coseg_images_per_class=40,
-    distractor_count=1,
+    distractor_count=SyntheticVideoSpec.distractor_count,
 ):
     """Write train/test videos plus co-segmentation groups; returns the manifest.
 
@@ -405,14 +406,14 @@ def sample_training_clip(frames, n_prime, seed):
     if n_prime > n:
         raise ValueError(f"cannot sample {n_prime} segments from {n} frames")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    base, rem = divmod(n, n_prime)
-    sizes = [base + 1] * rem + [base] * (n_prime - rem)
-    picked = []
-    start = 0
-    for size in sizes:
-        picked.append(frames[start + int(rng.integers(size))])
-        start += size
-    return picked
+    return [run[int(rng.integers(len(run)))] for run in near_equal_runs(frames, n_prime)]
+
+
+def near_equal_runs(items, count):
+    """``items`` cut in order into ``count`` runs, the leading ones one longer."""
+    base, rem = divmod(len(items), count)
+    bounds = [i * base + min(i, rem) for i in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def downsample_mask(mask, factor):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agnnseg import cli
 from agnnseg.cli import main, parse_config, ConfigError
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.synthdata import generate_dataset
@@ -61,6 +62,12 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = parse_config(None)
         assert cfg["n_prime_train"] == 3 and cfg["k_iters"] == 3
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = parse_config(None)
+        assert set(cfg) == set(cli.CONFIG_FIELDS) | {"out_dir"}
+        for key, (cls, name) in cli.CONFIG_FIELDS.items():
+            assert cfg[key] == getattr(cls(), name), key
 
     def test_test_time_n_prime_is_not_a_config_key(self, tmp_path, capsys):
         # infer and eval take --n-prime; a config value would be silently unused
@@ -171,6 +178,28 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == 2
 
+    def test_canvas_not_divisible_by_downsample_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, seed=0, train_videos=2, test_videos=0, num_frames=2,
+                         canvas=36, coseg_images_per_class=0)
+        cfg = write_config(tmp_path / "c.cfg", channels=4, downsample=8)
+        code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"shape mismatch: {data / 'manifest.txt'}: canvas 36 not divisible by "
+            "downsample factor 8\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_too_few_train_videos_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, seed=0, train_videos=1, test_videos=0, num_frames=2,
+                         canvas=32, coseg_images_per_class=0)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {data / 'manifest.txt'}: train split has 1 videos, need >= 2\n")
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_exit_3(self, tmp_path, tiny_dataset, capsys):
         # an absurd learning rate overflows the forward pass within a few steps
         # (saturating ops keep milder blowups finite, so push past 1e154 where
@@ -202,6 +231,26 @@ class TestInfer:
         assert main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(group),
                      "--out", str(out), "--task", "coseg"]) == 0
         assert len(list(out.glob("pred_*.pgm"))) == 1
+
+    @pytest.mark.parametrize("task, fn, n_prime", [("video", "infer_video", 5),
+                                                   ("coseg", "iocs_infer", 3)])
+    def test_default_n_prime_per_task(self, tmp_path, tiny_dataset, tiny_checkpoint,
+                                      monkeypatch, task, fn, n_prime):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def capture(*args, n_prime, k_iters):
+            seen.append(n_prime)
+            raise Stop
+
+        monkeypatch.setattr(cli, fn, capture)
+        video = tiny_dataset / "test" / "video_0000"
+        with pytest.raises(Stop):
+            main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(video),
+                  "--out", str(tmp_path / "o"), "--task", task])
+        assert seen == [n_prime]
 
     @pytest.mark.parametrize("task, n_prime, minimum", [("video", 0, 1), ("coseg", 1, 2)])
     def test_bad_n_prime_exit_1(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys,

@@ -190,6 +190,12 @@ class TestForwardContracts:
             x.data = bad
         np.testing.assert_array_equal(apply("relu", [x]).data, np.ones((2, 2)))
 
+    def test_nonfinite_output_names_the_op_kind(self):
+        big = t(np.full(2, 1e200))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="^mul output contains NaN or Inf$"):
+                engine.mul(big, t(np.full(2, 1e200)))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown op kind"):
             apply("frobnicate", [t(1.0)])

@@ -39,6 +39,10 @@ def quick_config(**overrides):
     return TrainConfig(**base)
 
 
+def small_model(config, downsample=4):
+    return init_model(channels=CHANNELS, downsample=downsample, seed=config.seed)
+
+
 class TestSchedule:
     def test_single_subset(self):
         s = InferenceSchedule(5, 5)
@@ -68,20 +72,21 @@ class TestTraining:
     def test_zero_lr_keeps_initialization(self, dataset):
         cfg = quick_config(lr=0.0, iterations=1)
         init = init_model(channels=CHANNELS, downsample=4, seed=cfg.seed)
-        result = train(dataset, cfg, channels=CHANNELS, downsample=4)
+        result = train(dataset, cfg, params=small_model(cfg))
         for (_, a), (_, b) in zip(init.named_tensors(), result.params.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_same_seed_bit_identical(self, dataset):
         cfg = quick_config(iterations=4)
-        r1 = train(dataset, cfg, channels=CHANNELS, downsample=4)
-        r2 = train(dataset, cfg, channels=CHANNELS, downsample=4)
+        r1 = train(dataset, cfg, params=small_model(cfg))
+        r2 = train(dataset, cfg, params=small_model(cfg))
         assert r1.losses == r2.losses
         for (_, a), (_, b) in zip(r1.params.named_tensors(), r2.params.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_loss_count_matches_iterations(self, dataset):
-        result = train(dataset, quick_config(iterations=3), channels=CHANNELS, downsample=4)
+        cfg = quick_config(iterations=3)
+        result = train(dataset, cfg, params=small_model(cfg))
         assert len(result.losses) == 3
 
     def test_descent_direction_on_fixed_batch(self, dataset):
@@ -130,7 +135,7 @@ class TestTraining:
         monkeypatch.setattr(pl, "sample_training_clip", sample)
         monkeypatch.setattr(pl, "load_video", lambda *args: loads.append(args))
         with pytest.raises(Stop):
-            train(dataset, quick_config(), channels=CHANNELS, downsample=4)
+            train(dataset, quick_config(), params=small_model(quick_config()))
         assert loads == []
 
         videos = [read_video(dataset, e) for e in dataset.split("train")]
@@ -157,13 +162,38 @@ class TestTraining:
         monkeypatch.setattr(pl, "static_batch_loss",
                             lambda scenes, params: engine.scalar_scale(params.attention.alpha, 1e300))
         with pytest.raises(DivergenceError) as info:
-            train(dataset, quick_config(lr=1e10), channels=CHANNELS, downsample=4)
+            train(dataset, quick_config(lr=1e10), params=small_model(quick_config()))
         assert info.value.iteration == 0
         assert str(info.value) == "iteration 0: tensor attn.alpha contains NaN or Inf"
 
+    def test_targets_vote_at_the_model_downsample(self, dataset, monkeypatch):
+        # a reshape-free static loss lets iteration 0 finish; iteration 1
+        # stops at the dynamic loss with the batch it was given
+        import agnnseg.pipeline as pl
+        from agnnseg import engine
+
+        class Stop(Exception):
+            pass
+
+        def static(scenes, params):
+            static.scenes = scenes
+            return engine.scalar_scale(params.attention.alpha, 1.0)
+
+        def stop(batch, params, config):
+            stop.batch = batch
+            raise Stop
+
+        monkeypatch.setattr(pl, "static_batch_loss", static)
+        monkeypatch.setattr(pl, "dynamic_batch_loss", stop)
+        with pytest.raises(Stop):
+            train(dataset, quick_config(), params=small_model(quick_config(), downsample=8))
+        grid = (CANVAS // 8, CANVAS // 8)
+        assert {mask.shape for _, mask in static.scenes} == {grid}
+        assert {target.shape for _, targets in stop.batch for target in targets} == {grid}
+
     def test_too_few_videos_rejected(self, dataset):
         with pytest.raises(ValueError, match="train split"):
-            train(dataset, quick_config(videos_per_batch=99), channels=CHANNELS, downsample=4)
+            train(dataset, quick_config(videos_per_batch=99), params=small_model(quick_config()))
 
 
 class TestInferVideo:

@@ -2,15 +2,20 @@
 
 ``perfbench/tracing.py`` patches agnnseg attributes by name; a rename in the
 package would otherwise only show up as an AttributeError in a traced
-benchmark run.
+benchmark run.  Its per-layer result names one figure per op kind, so the
+op kinds must also match the names that ``BENCHMARK.json`` lists.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from agnnseg import engine
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING_PATH = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,13 @@ def test_every_site_resolves_to_a_distinct_callable(tracing):
         key = (id(owner), attr)
         assert key not in seen, f"{module}.{path} and {seen[key]} resolve to one attribute"
         seen[key] = f"{module}.{path}"
+
+
+def test_op_kinds_match_the_benchmark_names():
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    listed = {n[len("engine.apply."):-len(".calls")] for n in names
+              if n.startswith("engine.apply.") and n.endswith(".calls")}
+    assert set(engine.op_kinds()) == listed
 
 
 def test_install_wraps_every_site_and_restores_it(tracing):
