@@ -10,7 +10,8 @@ range from the dataclass field that owns it: canvas and frames_per_video from
 SyntheticVideoSpec.canvas and .num_frames; channels and downsample from
 EncoderConfig; n_prime_train, k_iters, lr, momentum, iters and seed from
 TrainConfig.n_prime, .k_iters, .lr, .momentum, .iterations and .seed (seed
-also seeds gen-data).  out_dir is the gen-data output without --out.
+also seeds gen-data).  out_dir is the gen-data output without --out.  Only
+gen-data reads canvas and frames_per_video, and checks that downsample divides canvas.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import pnm
 from .encoder import EncoderConfig
 from .errors import DatasetError, FieldError, FormatError
-from .model import CheckpointMismatchError, init_model, load_model, save_model
+from .model import CheckpointMismatchError, check_fits, init_model, load_model, save_model
 from .pipeline import (COSEG_N_PRIME, MASK_THRESHOLD, TEST_N_PRIME, DivergenceError,
                        TrainConfig, evaluate, infer_video, iocs_infer, train)
 from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
@@ -79,10 +80,6 @@ def parse_config(path):
             values[key] = type(values[key])(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    if values["canvas"] % values["downsample"]:
-        raise ConfigError(
-            f"canvas {values['canvas']} not divisible by downsample {values['downsample']}"
-        )
     return values
 
 
@@ -107,6 +104,10 @@ def _check_n_prime(n_prime, minimum):
 def cmd_gen_data(args):
     cfg = parse_config(args.config)
     spec = _build(args.config, SyntheticVideoSpec, cfg)
+    # a model trained on the data must be able to downsample its frames
+    downsample = _build(args.config, EncoderConfig, cfg).downsample
+    if spec.canvas % downsample:
+        raise ConfigError(f"canvas {spec.canvas} not divisible by downsample {downsample}")
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
     generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
     print(out / "manifest.txt")
@@ -140,11 +141,7 @@ def _load_frames_dir(video_dir):
 def cmd_infer(args):
     params, meta = load_model(args.checkpoint)
     frames = _load_frames_dir(args.video_dir)
-    d = params.downsample
-    if frames.shape[1] % d or frames.shape[2] % d:
-        raise CheckpointMismatchError(
-            f"frame size {frames.shape[1:3]} not divisible by model downsample {d}"
-        )
+    check_fits(params, frames, args.video_dir)
     coseg = args.task == "coseg"
     default = COSEG_N_PRIME if coseg else TEST_N_PRIME
     n_prime = default if args.n_prime is None else args.n_prime
@@ -162,7 +159,7 @@ def cmd_infer(args):
         probs = infer_video(frames, params, n_prime=n_prime, k_iters=k_iters)
     height, width = frames.shape[1:3]
     for i, prob in enumerate(probs):
-        up = bilinear_upsample(prob, d)[:height, :width]
+        up = bilinear_upsample(prob, params.downsample)[:height, :width]
         pnm.write_pgm(out / f"pred_{i:04d}.pgm", up > MASK_THRESHOLD)
     print(out)
     return EXIT_OK
@@ -172,8 +169,6 @@ def cmd_eval(args):
     _check_n_prime(args.n_prime, 1)
     params, meta = load_model(args.checkpoint)
     manifest = load_manifest(args.data)
-    if not manifest.split(args.split):
-        raise OSError(f"split {args.split!r} has no videos in {args.data}")
     report = evaluate(
         manifest, params, split=args.split, n_prime=args.n_prime, k_iters=int(meta["k_iters"])
     )

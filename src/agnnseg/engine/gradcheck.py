@@ -2,7 +2,7 @@
 
 ``grad_check`` compares the tape's reverse-mode gradients against central
 differences, coordinate by coordinate.  The relative error uses a guarded
-denominator ``max(|analytic|, |numeric|, rel_floor)`` so near-zero gradients
+denominator ``max(|analytic|, |numeric|, 1)`` so near-zero gradients
 are compared absolutely instead of blowing up the ratio.
 """
 
@@ -55,7 +55,7 @@ def central_difference(fn, inputs, index, coord, eps):
     return (f_plus - f_minus) / (2.0 * eps)
 
 
-def grad_check(fn, inputs, eps=1e-5, rel_floor=1.0):
+def grad_check(fn, inputs, eps=1e-5):
     """Check gradients of a scalar-valued ``fn`` w.r.t. every input coordinate.
 
     ``fn`` must map the given tensors to a one-element tensor; it is run once
@@ -76,7 +76,7 @@ def grad_check(fn, inputs, eps=1e-5, rel_floor=1.0):
             for coord in np.ndindex(t.data.shape):
                 numeric = central_difference(fn, inputs, i, coord, eps)
                 a = float(analytic[coord])
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), rel_floor)
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
                 if report.worst_input is None or rel > report.max_rel_err:
                     report = GradCheckReport(rel, i, coord, a, numeric)
     return report

@@ -20,6 +20,7 @@ from .tensor import GradientMap, NonFiniteError, Tensor, active_tape
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
+LOG_CLAMP = 1e-12  # weighted_bce clips predictions to [LOG_CLAMP, 1 - LOG_CLAMP]
 
 
 class OpDef(NamedTuple):
@@ -367,13 +368,12 @@ def _weighted_bce_forward(arrays, attrs):
     (pred,) = arrays
     target = np.asarray(attrs["target"])
     eta = float(attrs["eta"])
-    clamp = float(attrs.get("clamp", 1e-12))
     _require(pred.shape == target.shape, "bce shape mismatch: {} vs {}", pred.shape, target.shape)
     _require(np.all((target == 0.0) | (target == 1.0)), "bce target must be binary")
     _require(0.0 <= eta <= 1.0, "bce weight eta={} outside [0, 1]", eta)
-    p = np.clip(pred, clamp, 1.0 - clamp)
+    p = np.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
     loss = -np.sum((1.0 - eta) * target * np.log(p) + eta * (1.0 - target) * np.log1p(-p))
-    inside = (pred > clamp) & (pred < 1.0 - clamp)
+    inside = (pred > LOG_CLAMP) & (pred < 1.0 - LOG_CLAMP)
     return np.asarray(loss), {"p": p, "target": target, "eta": eta, "inside": inside}
 
 
@@ -437,14 +437,14 @@ def _validate_tape(tape):
 def backward(tape, seed_grad):
     """Reverse sweep: gradients of the tape's final output w.r.t. everything.
 
-    ``seed_grad`` must match the final output's shape.  Returns a
+    ``seed_grad`` is an array matching the final output's shape.  Returns a
     :class:`GradientMap`; tensors never touched by the computation map to
     zero gradients.
     """
     if not tape.records:
         raise ValueError("backward on an empty tape")
     _validate_tape(tape)
-    seed = seed_grad.data if isinstance(seed_grad, Tensor) else np.asarray(seed_grad, dtype=np.float64)
+    seed = np.asarray(seed_grad, dtype=np.float64)
     last = tape.records[-1]
     if seed.shape != last.output_shape:
         raise ValueError(
@@ -548,5 +548,5 @@ def reshape(x, shape):
     return apply("reshape", [x], {"shape": tuple(shape)})
 
 
-def weighted_bce(pred, target, eta, clamp=1e-12):
-    return apply("weighted_bce", [pred], {"target": target, "eta": eta, "clamp": clamp})
+def weighted_bce(pred, target, eta):
+    return apply("weighted_bce", [pred], {"target": target, "eta": eta})

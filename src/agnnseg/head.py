@@ -10,8 +10,6 @@ from . import engine
 from .encoder import he_uniform
 from .engine import Tensor, tensor_fields
 
-LOG_CLAMP = 1e-12
-
 
 @dataclass
 class ReadoutParams:
@@ -102,16 +100,16 @@ def weighted_bce(target, pred: Tensor) -> LossStats:
     """Class-balanced binary cross entropy, summed over pixels.
 
     The foreground term carries weight (1 - eta) and the background term
-    eta, with eta the clamped foreground fraction of the binary target.
-    Log arguments are clamped at 1e-12.
+    eta, with eta the clamped foreground fraction of the binary target
+    array.  Log arguments are clamped at ``engine.ops.LOG_CLAMP`` (1e-12).
     """
-    arr = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=float)
+    arr = np.asarray(target, dtype=float)
     if arr.shape != pred.shape:
         raise ValueError(f"target shape {arr.shape} does not match prediction {pred.shape}")
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError("ground-truth mask must be binary")
     eta = foreground_ratio(arr)
-    loss = engine.weighted_bce(pred, arr, eta=eta, clamp=LOG_CLAMP)
+    loss = engine.weighted_bce(pred, arr, eta=eta)
     return LossStats(loss=loss, eta=eta)
 
 

@@ -19,6 +19,17 @@ class CheckpointMismatchError(ValueError):
     """A checkpoint, or an input size, that does not fit a loadable model."""
 
 
+def check_fits(params, frames, where):
+    """Raise CheckpointMismatchError unless the downsample factor divides the
+    height and width of ``frames`` (T, H, W, 3), read from ``where``."""
+    height, width = frames.shape[1:3]
+    d = params.downsample
+    if height % d or width % d:
+        canvas = height if height == width else f"{height}x{width}"
+        message = f"canvas {canvas} not divisible by downsample factor {d}"
+        raise CheckpointMismatchError(f"{where}: {message}")
+
+
 @dataclass
 class ModelParameters:
     """Every learnable tensor, shared across all nodes and frames."""

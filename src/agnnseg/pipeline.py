@@ -22,8 +22,8 @@ from .errors import DatasetError
 from .graph import run_graph
 from .head import mean_loss
 from .model import (
-    CheckpointMismatchError,
     ModelParameters,
+    check_fits,
     clip_loss,
     encode_frames,
     init_model,
@@ -33,7 +33,6 @@ from .model import (
 from .synthdata import (
     DatasetManifest,
     downsample_mask,
-    load_manifest,
     load_video,
     near_equal_runs,
     read_video,
@@ -93,16 +92,15 @@ def static_batch_loss(scenes, params):
     return mean_loss(static_loss([s[0] for s in scenes], [s[1] for s in scenes], params))
 
 
-def train(dataset, config: TrainConfig, params=None):
+def train(manifest: DatasetManifest, config: TrainConfig, params=None):
     """Optimize the model on a dataset's train split.
 
-    ``dataset`` is a DatasetManifest or a path to one; ``params`` is updated
-    in place and defaults to ``init_model(seed=config.seed)``.  Static and
-    dynamic iterations alternate, static on even steps.  Returns the trained
-    parameters and one loss value per iteration; raises DivergenceError the
-    moment anything goes non-finite.
+    ``params`` is updated in place and defaults to
+    ``init_model(seed=config.seed)``.  Static and dynamic iterations
+    alternate, static on even steps.  Returns the trained parameters and one
+    loss value per iteration; raises DivergenceError the moment anything goes
+    non-finite.
     """
-    manifest = dataset if isinstance(dataset, DatasetManifest) else load_manifest(dataset)
     where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
     if len(entries) < config.videos_per_batch:
@@ -113,11 +111,9 @@ def train(dataset, config: TrainConfig, params=None):
         params = init_model(seed=config.seed)
     downsample = params.downsample
     videos = [read_video(manifest, e) for e in entries]
+    for frames, _ in videos:
+        check_fits(params, frames, where)
     canvas = videos[0][0].shape[1]
-    if canvas % downsample:
-        raise CheckpointMismatchError(
-            f"{where}: canvas {canvas} not divisible by downsample factor {downsample}"
-        )
     # uint8 frames and grid targets; only the sampled clip frames become float
     videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
 
@@ -243,25 +239,27 @@ class EvalReport:
     mean_f: float
 
 
-def evaluate(dataset, params: ModelParameters, split="test", n_prime=TEST_N_PRIME,
-             k_iters=TrainConfig.k_iters, gated=TrainConfig.gated, threshold=MASK_THRESHOLD):
+def evaluate(manifest: DatasetManifest, params: ModelParameters, split="test",
+             n_prime=TEST_N_PRIME, k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
     """Mean region and boundary agreement per video and across a split.
 
-    Predictions are binarized at the sigmoid midpoint and compared at
-    feature-grid resolution against majority-downsampled ground truth.
+    Predictions are binarized at MASK_THRESHOLD and compared at feature-grid
+    resolution against majority-downsampled ground truth.  An empty split
+    raises DatasetError; a video whose frame size the model's downsample
+    factor does not divide raises CheckpointMismatchError before inference.
     """
-    manifest = dataset if isinstance(dataset, DatasetManifest) else load_manifest(dataset)
     entries = manifest.split(split)
     if not entries:
-        raise ValueError(f"split {split!r} is empty")
+        raise DatasetError(f"{manifest.root / 'manifest.txt'}: split {split!r} is empty")
     d = params.downsample
     rows = []
     for entry in entries:
         frames, masks = load_video(manifest, entry)
+        check_fits(params, frames, manifest.video_dir(entry))
         probs = infer_video(list(frames), params, n_prime=n_prime, k_iters=k_iters, gated=gated)
         js, fs = [], []
         for prob, gt in zip(probs, downsample_mask(masks, d)):
-            pred = prob > threshold
+            pred = prob > MASK_THRESHOLD
             js.append(metrics.region_similarity(pred, gt))
             fs.append(metrics.boundary_f(pred, gt))
         rows.append((entry.video_id, float(np.mean(js)), float(np.mean(fs))))

@@ -5,7 +5,9 @@ colour in all frames) wandering over a smooth gradient background with
 per-frame scale jitter, plus distractor shapes of other classes that appear
 only in a strict subset of frames.  Shapes are rasterized with hard edges on
 pixel centres so mask areas are exact.  All randomness derives from seeds;
-regenerating with the same seed reproduces every byte.
+regenerating with the same seed reproduces every byte.  The scene constants
+FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC, SCALE_RANGE, NOISE_AMP,
+MIN_AREA_FRAC and MIN_COLOR_DIST are fixed; each is described where it is set.
 """
 
 from __future__ import annotations
@@ -22,28 +24,34 @@ SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
 _SPLIT_STREAMS = {"train": 0, "test": 1, "coseg": 2, "static": 3}
 
+FG_HALF_FRAC = (0.16, 0.22)  # foreground base semi-axes, as canvas fractions
+DISTRACTOR_HALF_FRAC = (0.09, 0.14)  # distractor base semi-axes, likewise
+MAX_STEP_FRAC = 0.15  # largest move per frame and axis, as a canvas fraction
+SCALE_RANGE = (0.7, 1.3)  # per-frame scale factor of the semi-axes
+NOISE_AMP = 0.03  # half-width of the uniform pixel noise, in [0, 1] intensity
+MIN_AREA_FRAC = 0.02  # smallest foreground area, as a fraction of the canvas area
+MIN_COLOR_DIST = 0.45  # smallest L1 distance of a shape colour from the background base
+
+
+def _check_scene(canvas, shape_class):
+    if shape_class not in SHAPE_CLASSES:
+        raise ValueError(f"unknown shape class {shape_class!r}")
+    if canvas < 8:
+        raise FieldError("canvas", f"must be >= 8, got {canvas}")
+
 
 @dataclass(frozen=True)
 class SyntheticVideoSpec:
     num_frames: int = 24
     canvas: int = 64
     shape_class: str = "ellipse"
-    fg_half_frac: tuple = (0.16, 0.22)  # base semi-axes as canvas fractions
-    max_step_frac: float = 0.15
-    scale_range: tuple = (0.7, 1.3)
     distractor_count: int = 1
-    distractor_half_frac: tuple = (0.09, 0.14)
-    noise_amp: float = 0.03
-    min_area_frac: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if self.shape_class not in SHAPE_CLASSES:
-            raise ValueError(f"unknown shape class {self.shape_class!r}")
+        _check_scene(self.canvas, self.shape_class)
         if self.num_frames < 1:
             raise FieldError("num_frames", f"must be >= 1, got {self.num_frames}")
-        if self.canvas < 8:
-            raise FieldError("canvas", f"must be >= 8, got {self.canvas}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +126,11 @@ def raster_shape(shape_class, canvas, cy, cx, ry, rx):
 # scene synthesis
 
 
-def _pick_color(rng, avoid, min_dist=0.45):
+def _pick_color(rng, avoid):
     # rejection-sample a colour clearly separated from `avoid`
     while True:
         color = rng.uniform(0.0, 1.0, size=3)
-        if np.abs(color - avoid).sum() >= min_dist:
+        if np.abs(color - avoid).sum() >= MIN_COLOR_DIST:
             return color
 
 
@@ -137,30 +145,26 @@ def _background(rng, canvas):
 class _Track:
     """A shape with a random walk: bounded step, per-frame scale jitter."""
 
-    def __init__(self, rng, spec, shape_class, half_frac_range, avoid_color):
+    def __init__(self, rng, canvas, shape_class, half_frac_range, avoid_color):
         self.shape_class = shape_class
         self.color = _pick_color(rng, avoid_color)
-        self.ry = rng.uniform(*half_frac_range) * spec.canvas
-        self.rx = rng.uniform(*half_frac_range) * spec.canvas
-        self.margin = spec.scale_range[1] * max(self.ry, self.rx) + 1.0
-        lo, hi = self.margin, spec.canvas - self.margin
-        if lo >= hi:
-            raise ValueError(
-                f"shape half fractions {half_frac_range} too big for canvas {spec.canvas}"
-            )
-        self.cy = rng.uniform(lo, hi)
-        self.cx = rng.uniform(lo, hi)
-        self.spec = spec
+        self.ry = rng.uniform(*half_frac_range) * canvas
+        self.rx = rng.uniform(*half_frac_range) * canvas
+        # margin <= 1.3 * 0.22 * canvas + 1 < canvas / 2 for every canvas >= 8
+        self.margin = SCALE_RANGE[1] * max(self.ry, self.rx) + 1.0
+        self.canvas = canvas
+        self.cy = rng.uniform(self.margin, canvas - self.margin)
+        self.cx = rng.uniform(self.margin, canvas - self.margin)
 
     def raster(self, rng):
-        scale = rng.uniform(*self.spec.scale_range)
+        scale = rng.uniform(*SCALE_RANGE)
         return raster_shape(
-            self.shape_class, self.spec.canvas, self.cy, self.cx, scale * self.ry, scale * self.rx
+            self.shape_class, self.canvas, self.cy, self.cx, scale * self.ry, scale * self.rx
         )
 
     def step(self, rng):
-        bound = self.spec.max_step_frac * self.spec.canvas
-        lo, hi = self.margin, self.spec.canvas - self.margin
+        bound = MAX_STEP_FRAC * self.canvas
+        lo, hi = self.margin, self.canvas - self.margin
         self.cy = float(np.clip(self.cy + rng.uniform(-bound, bound), lo, hi))
         self.cx = float(np.clip(self.cx + rng.uniform(-bound, bound), lo, hi))
 
@@ -174,11 +178,11 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     canvas, n = spec.canvas, spec.num_frames
     bg_base, bg = _background(rng, canvas)
-    fg = _Track(rng, spec, spec.shape_class, spec.fg_half_frac, bg_base)
+    fg = _Track(rng, canvas, spec.shape_class, FG_HALF_FRAC, bg_base)
     distractors = []
     for _ in range(spec.distractor_count):
         cls = _other_classes(spec.shape_class)[rng.integers(len(_other_classes(spec.shape_class)))]
-        track = _Track(rng, spec, cls, spec.distractor_half_frac, bg_base)
+        track = _Track(rng, canvas, cls, DISTRACTOR_HALF_FRAC, bg_base)
         if n > 1:
             length = int(rng.integers(max(1, n // 3), n))  # strict subset of frames
             start = int(rng.integers(0, n - length + 1))
@@ -189,9 +193,9 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
 
     frames = np.empty((n, canvas, canvas, 3))
     masks = np.empty((n, canvas, canvas), dtype=bool)
-    min_area = spec.min_area_frac * canvas * canvas
+    min_area = MIN_AREA_FRAC * canvas * canvas
     for t in range(n):
-        frame = bg + rng.uniform(-spec.noise_amp, spec.noise_amp, size=(canvas, canvas, 3))
+        frame = bg + rng.uniform(-NOISE_AMP, NOISE_AMP, size=(canvas, canvas, 3))
         for track, visible in distractors:
             if t in visible:
                 frame[track.raster(rng)] = track.color
@@ -215,26 +219,20 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
     return frames, masks
 
 
-def render_static_scene(canvas, seed, shape_class=None,
-                        distractor_count=SyntheticVideoSpec.distractor_count):
-    """One image with a foreground shape and optional other-class clutter."""
+def render_static_scene(canvas, seed, shape_class=None):
+    """One image with a foreground shape and the spec's default count of
+    other-class distractors."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if shape_class is None:
         shape_class = SHAPE_CLASSES[rng.integers(len(SHAPE_CLASSES))]
-    spec = SyntheticVideoSpec(
-        num_frames=1,
-        canvas=canvas,
-        shape_class=shape_class,
-        distractor_count=distractor_count,
-        seed=0,
-    )
+    _check_scene(canvas, shape_class)
     bg_base, bg = _background(rng, canvas)
-    frame = bg + rng.uniform(-spec.noise_amp, spec.noise_amp, size=(canvas, canvas, 3))
-    for _ in range(distractor_count):
+    frame = bg + rng.uniform(-NOISE_AMP, NOISE_AMP, size=(canvas, canvas, 3))
+    for _ in range(SyntheticVideoSpec.distractor_count):
         cls = _other_classes(shape_class)[rng.integers(2)]
-        track = _Track(rng, spec, cls, spec.distractor_half_frac, bg_base)
+        track = _Track(rng, canvas, cls, DISTRACTOR_HALF_FRAC, bg_base)
         frame[track.raster(rng)] = track.color
-    fg = _Track(rng, spec, shape_class, spec.fg_half_frac, bg_base)
+    fg = _Track(rng, canvas, shape_class, FG_HALF_FRAC, bg_base)
     mask = fg.raster(rng)
     frame[mask] = fg.color
     return np.clip(frame, 0.0, 1.0), mask, shape_class
@@ -267,7 +265,6 @@ def generate_dataset(
     num_frames=SyntheticVideoSpec.num_frames,
     canvas=SyntheticVideoSpec.canvas,
     coseg_images_per_class=40,
-    distractor_count=SyntheticVideoSpec.distractor_count,
 ):
     """Write train/test videos plus co-segmentation groups; returns the manifest.
 
@@ -291,7 +288,6 @@ def generate_dataset(
                 num_frames=num_frames,
                 canvas=canvas,
                 shape_class=SHAPE_CLASSES[i % len(SHAPE_CLASSES)],
-                distractor_count=distractor_count,
                 seed=int(_video_seed(seed, split, i)),
             )
             frames, masks = render_video(spec)
@@ -300,7 +296,7 @@ def generate_dataset(
             entries.append(ManifestEntry(split, video_id, num_frames, spec.shape_class))
 
     index = 0
-    for cls in SHAPE_CLASSES[: min(3, len(SHAPE_CLASSES))]:
+    for cls in SHAPE_CLASSES:
         for _ in range(coseg_images_per_class):
             frame, mask, _ = render_static_scene(
                 canvas, int(_video_seed(seed, "coseg", index)), shape_class=cls
@@ -393,19 +389,18 @@ def load_video(manifest: DatasetManifest, entry: ManifestEntry):
 # sampling and mask resolution
 
 
-def sample_training_clip(frames, n_prime, seed):
+def sample_training_clip(frames, n_prime, rng):
     """One uniformly random frame from each of n_prime contiguous segments.
 
     The video is split into near-equal segments with the remainder spread
-    over the leading ones; temporal order is preserved.  ``seed`` may be an
-    int or a numpy Generator.
+    over the leading ones; temporal order is preserved.  ``rng`` is a numpy
+    Generator.
     """
     n = len(frames)
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     if n_prime > n:
         raise ValueError(f"cannot sample {n_prime} segments from {n} frames")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return [run[int(rng.integers(len(run)))] for run in near_equal_runs(frames, n_prime)]
 
 

@@ -2,12 +2,25 @@
 
 Everything here is written with plain Python loops and ``math`` so it shares
 no code path with the engine kernels it is used to validate.  Slow on
-purpose; only run on tiny shapes.
+purpose; only run on tiny shapes.  ``tree_hash`` digests a directory tree's
+relative paths and bytes, for byte-identity checks on written files.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
+
+
+def tree_hash(root):
+    """SHA-256 over every file under ``root``: relative path, then bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(root).rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def matmul_loops(a, b):

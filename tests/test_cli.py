@@ -1,6 +1,5 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +8,9 @@ import pytest
 from agnnseg import cli
 from agnnseg.cli import main, parse_config, ConfigError
 from agnnseg.model import init_model, load_model, save_model
+from agnnseg.pipeline import TrainResult
 from agnnseg.synthdata import generate_dataset
-
-
-def tree_hash(root):
-    digest = hashlib.sha256()
-    for path in sorted(Path(root).rglob("*")):
-        if path.is_file():
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
+from oracles import tree_hash
 
 
 def write_config(path, **kv):
@@ -85,10 +77,27 @@ class TestConfig:
         p.write_text("# comment\n\nseed=9\n")
         assert parse_config(p)["seed"] == 9
 
-    def test_indivisible_canvas_rejected(self, tmp_path):
+    def test_indivisible_canvas_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", canvas=30, downsample=4)
-        with pytest.raises(ConfigError, match="divisible"):
-            parse_config(path)
+        code = main(["gen-data", "--config", path, "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: canvas 30 not divisible by downsample 4\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_train_ignores_the_canvas_key(self, tmp_path, tiny_dataset, monkeypatch):
+        # train takes its canvas from the dataset; only gen-data reads the key
+        calls = []
+
+        def fake_train(manifest, config, params):
+            calls.append(manifest.root)
+            return TrainResult(params=params, losses=[])
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        path = write_config(tmp_path / "c.cfg", canvas=30, channels=4)
+        code = main(["train", "--config", path, "--data", str(tiny_dataset),
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert calls == [tiny_dataset]
 
     def test_unknown_key_exit_code_and_stderr(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", nonsense=1)
@@ -339,6 +348,27 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
                      "--split", "absent"])
         assert code == 2
+
+    def test_empty_split_names_the_manifest(self, tiny_dataset, tiny_checkpoint, capsys):
+        code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
+                     "--split", "nope"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {tiny_dataset / 'manifest.txt'}: split 'nope' is empty\n")
+
+    def test_canvas_not_divisible_by_downsample_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, seed=0, train_videos=0, test_videos=1, num_frames=2,
+                         canvas=36, coseg_images_per_class=0)
+        checkpoint = tmp_path / "d8.agnn"
+        save_model(checkpoint, init_model(channels=4, downsample=8, seed=0))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"shape mismatch: {data / 'test' / 'video_0000'}: canvas 36 not divisible by "
+            "downsample factor 8\n")
+        assert captured.out == ""
 
     def test_nan_tensor_exit_4(self, tiny_dataset, nan_checkpoint, capsys):
         code = main(["eval", "--checkpoint", str(nan_checkpoint), "--data", str(tiny_dataset)])
