@@ -6,11 +6,14 @@ and ``#`` comments in the header, requires maxval 255, and reports the byte
 position of anything malformed.  Each header integer is matched, with the
 whitespace and comments before it, by one compiled regular expression.
 ``read_stack`` decodes a whole video's files, all of one size, into one
-preallocated uint8 array.
+preallocated uint8 array.  It parses only the first file's header: a later
+file whose length and header bytes equal the first file's is read straight
+into its row of the array, and any other file goes through the full parse.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
@@ -67,6 +70,7 @@ class _Parser:
 
 
 def _read_pnm(path, magic, samples):
+    """The decoded array and the header bytes before its payload."""
     with open(path, "rb", buffering=0) as f:  # one read of the whole file, no buffer object
         blob = f.read()
     p = _Parser(blob, path)
@@ -92,35 +96,53 @@ def _read_pnm(path, magic, samples):
         p.pos += expected
         p.fail(f"trailing data: {len(payload) - expected} extra bytes")
     arr = np.frombuffer(payload, dtype=np.uint8)
-    if samples == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, samples)
+    shape = (height, width) if samples == 1 else (height, width, samples)
+    return arr.reshape(shape), blob[: p.pos]
 
 
 def read_ppm(path):
     """Read a binary P6 file into an (H, W, 3) uint8 array."""
-    return _read_pnm(path, b"P6", 3)
+    return _read_pnm(path, b"P6", 3)[0]
 
 
 def read_pgm(path):
     """Read a binary P5 file into an (H, W) uint8 array."""
-    return _read_pnm(path, b"P5", 1)
+    return _read_pnm(path, b"P5", 1)[0]
+
+
+_LAYOUTS = {read_ppm: (b"P6", 3), read_pgm: (b"P5", 1)}
 
 
 def read_stack(paths, read, ref=None):
     """Decode files of one size with ``read`` (``read_ppm`` or ``read_pgm``).
 
-    Returns one (T, H, W, 3) or (T, H, W) uint8 array, filled file by file
-    into a buffer sized from the first file.  Every file must have the
+    Returns one (T, H, W, 3) or (T, H, W) uint8 array.  Only the first
+    file's header is parsed.  Every later file is read with one ``readv``
+    into a header-sized buffer, its row of the array and one spare byte; it
+    is taken as it lands when it has exactly the first file's length and
+    header bytes.  Any other file is decoded whole by ``read``, so a bad one
+    raises the same FormatError as on its own.  Every file must have the
     height and width of ``ref``, a (path, shape) pair, or else of the first
     file; one that does not raises FormatError naming it and both sizes.
     """
     paths = list(paths)
-    first = read(paths[0])
+    first, header = _read_pnm(paths[0], *_LAYOUTS[read])
     ref_path, ref_shape = ref or (paths[0], first.shape)
     ref_h, ref_w = ref_shape[:2]
     out = np.empty((len(paths),) + first.shape, dtype=np.uint8)
+    size = len(header) + first.nbytes
+    head, spare = bytearray(len(header)), bytearray(1)
     for t, path in enumerate(paths):
+        if t:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                got = os.readv(fd, [head, out[t], spare])
+            except OSError:  # a directory, say: the whole read below names the path
+                got = -1
+            finally:
+                os.close(fd)
+            if got == size and head == header:
+                continue
         arr = read(path) if t else first
         if arr.shape[:2] != (ref_h, ref_w):
             h, w = arr.shape[:2]

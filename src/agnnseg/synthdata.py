@@ -88,21 +88,26 @@ class DatasetManifest:
 # rasterization
 
 
+def _centres(canvas):
+    """Pixel centres as a column and a row; broadcast, they act as an index grid."""
+    axis = np.arange(canvas) + 0.5
+    return axis[:, None], axis[None, :]
+
+
 def raster_ellipse(canvas, cy, cx, ry, rx):
-    yy, xx = np.mgrid[0:canvas, 0:canvas]
-    return ((yy + 0.5 - cy) / ry) ** 2 + ((xx + 0.5 - cx) / rx) ** 2 <= 1.0
+    py, px = _centres(canvas)
+    return ((py - cy) / ry) ** 2 + ((px - cx) / rx) ** 2 <= 1.0
 
 
 def raster_rectangle(canvas, cy, cx, ry, rx):
-    yy, xx = np.mgrid[0:canvas, 0:canvas]
-    return (np.abs(yy + 0.5 - cy) <= ry) & (np.abs(xx + 0.5 - cx) <= rx)
+    py, px = _centres(canvas)
+    return (np.abs(py - cy) <= ry) & (np.abs(px - cx) <= rx)
 
 
 def raster_triangle(canvas, cy, cx, ry, rx):
     # isoceles, apex up: (cy-ry, cx), (cy+ry, cx-rx), (cy+ry, cx+rx);
     # this order is clockwise with y pointing down, so inside is cross <= 0
-    yy, xx = np.mgrid[0:canvas, 0:canvas]
-    py, px = yy + 0.5, xx + 0.5
+    py, px = _centres(canvas)
     verts = [(cy - ry, cx), (cy + ry, cx - rx), (cy + ry, cx + rx)]
     inside = np.ones((canvas, canvas), dtype=bool)
     for (ay, ax), (by, bx) in zip(verts, verts[1:] + verts[:1]):
@@ -137,8 +142,8 @@ def _pick_color(rng, avoid):
 def _background(rng, canvas):
     base = rng.uniform(0.25, 0.75, size=3)
     slopes = rng.uniform(-0.25, 0.25, size=(2, 3)) / canvas
-    yy, xx = np.mgrid[0:canvas, 0:canvas]
-    bg = base + yy[:, :, None] * slopes[0] + xx[:, :, None] * slopes[1]
+    axis = np.arange(canvas)
+    bg = base + axis[:, None, None] * slopes[0] + axis[None, :, None] * slopes[1]
     return base, bg
 
 
@@ -362,16 +367,22 @@ def load_manifest(root):
 def read_video(manifest: DatasetManifest, entry: ManifestEntry):
     """Frames as a (T, H, W, 3) uint8 stack, masks as (T, H, W) bools.
 
-    Each file is decoded once into the stack and the masks are thresholded
-    at 128.  A frame or mask whose size differs from the first frame's
-    raises FormatError naming it and both sizes.
+    Each stack parses one header, its first file's (see ``pnm.read_stack``),
+    and the masks are thresholded at 128.  A frame or mask whose size
+    differs from the first frame's raises FormatError naming it and both
+    sizes.  The file names are plain strings; a FormatError's path is made
+    a ``Path`` when it is raised.
     """
-    vdir = manifest.video_dir(entry)
+    vdir = str(manifest.video_dir(entry))
     steps = range(entry.num_frames)
-    frame_paths = [vdir / f"frame_{t:04d}.ppm" for t in steps]
-    mask_paths = [vdir / f"mask_{t:04d}.pgm" for t in steps]
-    frames = pnm.read_stack(frame_paths, pnm.read_ppm)
-    masks = pnm.read_stack(mask_paths, pnm.read_pgm, ref=(frame_paths[0], frames.shape[1:]))
+    frame_paths = [f"{vdir}/frame_{t:04d}.ppm" for t in steps]
+    mask_paths = [f"{vdir}/mask_{t:04d}.pgm" for t in steps]
+    try:
+        frames = pnm.read_stack(frame_paths, pnm.read_ppm)
+        masks = pnm.read_stack(mask_paths, pnm.read_pgm, ref=(frame_paths[0], frames.shape[1:]))
+    except FormatError as exc:
+        exc.path = Path(exc.path)
+        raise
     return frames, masks >= 128
 
 

@@ -3,7 +3,9 @@
 Everything here is written with plain Python loops and ``math`` so it shares
 no code path with the engine kernels it is used to validate.  Slow on
 purpose; only run on tiny shapes.  ``tree_hash`` digests a directory tree's
-relative paths and bytes, for byte-identity checks on written files.
+relative paths and bytes, for byte-identity checks on written files.  The
+scene rasterizers and the background gradient are index-grid (``np.mgrid``)
+references for the broadcast versions in ``agnnseg.synthdata``.
 """
 
 import hashlib
@@ -21,6 +23,44 @@ def tree_hash(root):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def raster_ellipse_grid(canvas, cy, cx, ry, rx):
+    yy, xx = np.mgrid[0:canvas, 0:canvas]
+    return ((yy + 0.5 - cy) / ry) ** 2 + ((xx + 0.5 - cx) / rx) ** 2 <= 1.0
+
+
+def raster_rectangle_grid(canvas, cy, cx, ry, rx):
+    yy, xx = np.mgrid[0:canvas, 0:canvas]
+    return (np.abs(yy + 0.5 - cy) <= ry) & (np.abs(xx + 0.5 - cx) <= rx)
+
+
+def raster_triangle_grid(canvas, cy, cx, ry, rx):
+    """Apex up at (cy - ry, cx); inside where all three edge crosses are <= 0."""
+    yy, xx = np.mgrid[0:canvas, 0:canvas]
+    py, px = yy + 0.5, xx + 0.5
+    verts = [(cy - ry, cx), (cy + ry, cx - rx), (cy + ry, cx + rx)]
+    inside = np.ones((canvas, canvas), dtype=bool)
+    for (ay, ax), (by, bx) in zip(verts, verts[1:] + verts[:1]):
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        inside &= cross <= 0.0
+    return inside
+
+
+RASTER_GRIDS = {
+    "ellipse": raster_ellipse_grid,
+    "rectangle": raster_rectangle_grid,
+    "triangle": raster_triangle_grid,
+}
+
+
+def background_grid(rng, canvas):
+    """Base colour and (canvas, canvas, 3) linear gradient, drawing as synthdata does."""
+    base = rng.uniform(0.25, 0.75, size=3)
+    slopes = rng.uniform(-0.25, 0.25, size=(2, 3)) / canvas
+    yy, xx = np.mgrid[0:canvas, 0:canvas]
+    bg = base + yy[:, :, None] * slopes[0] + xx[:, :, None] * slopes[1]
+    return base, bg
 
 
 def matmul_loops(a, b):

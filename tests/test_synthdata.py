@@ -14,6 +14,7 @@ from agnnseg.errors import FormatError
 from agnnseg.synthdata import (
     SHAPE_CLASSES,
     SyntheticVideoSpec,
+    _background,
     bilinear_upsample,
     downsample_mask,
     generate_dataset,
@@ -56,6 +57,11 @@ def blob_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "blob"
 
 
+@pytest.fixture(scope="module")
+def stack_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stack")
+
+
 _WS = [bytes([c]) for c in b" \t\r\n\v\f"]
 # one header gap: whitespace bytes and comments, which may run to the end
 _gap = st.lists(
@@ -68,11 +74,21 @@ def _number(value):
     return st.integers(0, 2).map(lambda zeros: b"0" * zeros + b"%d" % value)
 
 
+_FORMATS = [(b"P5", 1), (b"P6", 3)]
+
+
 @st.composite
-def pnm_layouts(draw):
-    """A P5/P6 file with random header spacing and comments, maybe cut short."""
-    magic, samples = draw(st.sampled_from([(b"P5", 1), (b"P6", 3)]))
-    width, height = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+def pnm_layouts(draw, magic=None, dims=None):
+    """A P5/P6 file with random header spacing and comments, maybe cut short.
+
+    ``magic`` and ``dims`` (width, height) fix the format and the size the
+    header states; by default both are drawn.
+    """
+    if magic is None:
+        magic, samples = draw(st.sampled_from(_FORMATS))
+    else:
+        samples = dict(_FORMATS)[magic]
+    width, height = dims or (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
     maxval = draw(st.sampled_from([255, 255, 255, 254, 0]))
     header = magic
     for value in (width, height, maxval):
@@ -82,6 +98,59 @@ def pnm_layouts(draw):
     blob = header + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
     cut = draw(st.one_of(st.none(), st.integers(0, len(blob))))
     return magic, samples, blob if cut is None else blob[:cut]
+
+
+@st.composite
+def pnm_stacks(draw):
+    """The files of one ``read_stack`` call: a first file, then later ones.
+
+    A later file either shares the first file's header bytes and length,
+    which ``read_stack`` takes without parsing, or its header but is one
+    byte short or long, or its length but the other magic, or is a drawn
+    layout: the same size spelt otherwise or one byte short or long,
+    another size, or either magic.
+    """
+    magic, samples = draw(st.sampled_from(_FORMATS))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nbytes = width * height * samples
+    payloads = st.binary(min_size=nbytes, max_size=nbytes)
+    canonical = b"%s\n%d %d\n255\n" % (magic, width, height)
+    first = draw(st.one_of(
+        payloads.map(lambda p: canonical + p),
+        pnm_layouts(magic, (width, height)).map(lambda layout: layout[2]),
+    ))
+    header = first[: max(len(first) - nbytes, 0)]
+
+    def later(kind):
+        if kind == "magic":  # the first file's length, but the other format's magic
+            other = b"P6" if magic == b"P5" else b"P5"
+            return payloads.map(lambda p: other + header[2:] + p)
+        if kind in ("same", "short", "long"):
+            n = nbytes + {"same": 0, "short": -1, "long": 1}[kind]
+            return st.binary(min_size=n, max_size=n).map(lambda p: header + p)
+        args = {"respelt": (magic, (width, height)), "resized": (magic,), "any": ()}[kind]
+        return pnm_layouts(*args).map(lambda layout: layout[2])
+
+    kinds = st.sampled_from(["same", "same", "short", "long", "magic", "respelt", "resized", "any"])
+    return magic, samples, [first] + draw(st.lists(kinds.flatmap(later), min_size=1, max_size=4))
+
+
+def stack_oracle(paths, blobs, magic, samples, ref):
+    """The per-file decode of a stack, or the (path, offset, message) of the
+    first file that the byte-loop parser or the size check rejects."""
+    ref_path, ref_shape = ref or (paths[0], None)
+    arrays = []
+    for path, blob in zip(paths, blobs):
+        try:
+            arr = oracles.read_pnm_loops(blob, magic, samples)
+        except oracles.PnmLoopsError as exc:
+            return path, exc.offset, f"{path}: {exc}"
+        ref_shape = ref_shape or arr.shape
+        if arr.shape[:2] != ref_shape[:2]:
+            (h, w), (ref_h, ref_w) = arr.shape[:2], ref_shape[:2]
+            return path, 0, f"{path}: size {w}x{h} differs from {ref_w}x{ref_h} of {ref_path} at byte 0"
+        arrays.append(arr)
+    return np.stack(arrays)
 
 
 def _any_pnm_bytes():
@@ -187,6 +256,51 @@ class TestPnm:
         assert info.value.path == paths[2]
         assert f"size 2x2 differs from 4x4 of {paths[0]}" in str(info.value)
 
+    def test_stack_checks_the_first_file_against_ref(self, tmp_path):
+        paths = [tmp_path / f"m{i}.pgm" for i in range(3)]
+        for path in paths:
+            pnm.write_pgm(path, np.zeros((2, 2), dtype=bool))
+        ref = (tmp_path / "frame.ppm", (3, 2, 3))
+        with pytest.raises(FormatError) as info:
+            pnm.read_stack(paths, pnm.read_pgm, ref=ref)
+        assert (info.value.path, info.value.offset) == (paths[0], 0)
+        assert f"size 2x2 differs from 2x3 of {ref[0]}" in str(info.value)
+
+    @given(
+        stack=pnm_stacks(),
+        ref=st.sampled_from([None, None, "same", "taller", "wider"]),
+        as_str=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack_matches_the_per_file_decode_oracle(self, stack_dir, stack, ref, as_str):
+        # files that share the first header are read straight into the stack,
+        # the rest are parsed whole: either way the result, or the first
+        # error, is the per-file decoder's
+        magic, samples, blobs = stack
+        paths = [stack_dir / f"f{t}" for t in range(len(blobs))]
+        for path, blob in zip(paths, blobs):
+            path.write_bytes(blob)
+        if as_str:
+            paths = [str(path) for path in paths]
+        if ref is not None:
+            try:
+                h, w = oracles.read_pnm_loops(blobs[0], magic, samples).shape[:2]
+            except oracles.PnmLoopsError:
+                h, w = 1, 1
+            h, w = {"same": (h, w), "taller": (h + 1, w), "wider": (h, w + 1)}[ref]
+            ref = (stack_dir / "ref.ppm", (h, w, 3))
+        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
+        expected = stack_oracle(paths, blobs, magic, samples, ref)
+        if isinstance(expected, tuple):
+            with pytest.raises(FormatError) as info:
+                pnm.read_stack(paths, read, ref=ref)
+            assert (info.value.path, info.value.offset, str(info.value)) == expected
+            assert type(info.value.path) is type(expected[0])
+        else:
+            got = pnm.read_stack(paths, read, ref=ref)
+            assert got.dtype == np.uint8 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     @given(
         h=st.integers(min_value=1, max_value=8),
         w=st.integers(min_value=1, max_value=8),
@@ -235,6 +349,28 @@ class TestRasterizers:
         assert not np.array_equal(grids[1], grids[2])
         for g in grids:
             assert g.sum() > 0
+
+    @pytest.mark.parametrize("shape_class", SHAPE_CLASSES)
+    def test_broadcast_matches_the_index_grid_oracle(self, shape_class):
+        rng = np.random.default_rng(SHAPE_CLASSES.index(shape_class))
+        for canvas in range(8, 97):
+            for _ in range(4):
+                cy, cx = rng.uniform(-0.25, 1.25, size=2) * canvas
+                ry, rx = rng.uniform(0.02, 0.7, size=2) * canvas
+                if rng.integers(2):  # on the half-pixel lattice, where `<=` ties fall
+                    cy, cx = np.round([2 * cy, 2 * cx]) / 2
+                    ry, rx = np.maximum(np.round([2 * ry, 2 * rx]) / 2, 0.5)
+                got = raster_shape(shape_class, canvas, cy, cx, ry, rx)
+                want = oracles.RASTER_GRIDS[shape_class](canvas, cy, cx, ry, rx)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_background_matches_the_index_grid_oracle(self):
+        for canvas in range(8, 97):
+            base, bg = _background(np.random.default_rng(canvas), canvas)
+            want_base, want_bg = oracles.background_grid(np.random.default_rng(canvas), canvas)
+            assert base.tobytes() == want_base.tobytes()
+            assert bg.shape == want_bg.shape and bg.tobytes() == want_bg.tobytes()
 
     def test_rectangle_area_exact(self):
         # half sizes 3.0 cover pixel centres cy±3, cx±3: a 6x6 block... the

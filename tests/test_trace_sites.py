@@ -3,11 +3,15 @@
 ``perfbench/tracing.py`` patches agnnseg attributes by name; a rename in the
 package would otherwise only show up as an AttributeError in a traced
 benchmark run.  Its per-layer result names one figure per op kind, so the
-op kinds must also match the names that ``BENCHMARK.json`` lists.
+op kinds must also match the names that ``BENCHMARK.json`` lists.  A short
+traced run must end its standard output with the result line the benchmark
+reads, so nothing else may print there.
 """
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,17 @@ def test_install_wraps_every_site_and_restores_it(tracing):
             assert getattr(owner, attr) is not fn
     for (owner, attr), fn in zip(resolved, originals):
         assert getattr(owner, attr) is fn
+
+
+def test_traced_train_run_ends_with_a_result_line():
+    # the benchmark reads the last stdout line; the detail line is the only
+    # other one, so any print in agnnseg would break the contract
+    command = [sys.executable, "perfbench/run.py", "--workload", "train", "--seed", "0",
+               "--seconds", "1", "--trace", "1"]
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and "detail" in json.loads(lines[0])
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    assert isinstance(result["metrics"], dict) and result["metrics"]
