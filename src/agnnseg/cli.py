@@ -135,7 +135,7 @@ def _load_frames_dir(video_dir):
     paths = sorted(Path(video_dir).glob("frame_*.ppm"))
     if not paths:
         raise OSError(f"no frame_*.ppm files in {video_dir}")
-    return pnm.read_stack(paths, pnm.read_ppm) / 255.0
+    return pnm.read_stack(paths, pnm.read_ppm)
 
 
 def cmd_infer(args):

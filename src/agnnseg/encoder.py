@@ -1,9 +1,10 @@
 """Toy convolutional frame encoder.
 
-Maps an RGB frame in [0, 1] to the initial node embedding grid: three 3x3
-conv layers with relu (strides set by the downsample factor) followed by a
-linear 1x1 projection to the embedding width.  One parameter set is shared
-by every frame of every graph.
+Maps an RGB frame to the initial node embedding grid: three 3x3 conv
+layers with relu (strides set by the downsample factor) followed by a linear
+1x1 projection to the embedding width.  One parameter set is shared by every
+frame of every graph.  A uint8 frame, as ``synthdata.load_video`` returns it,
+is scaled by 1/255 here and nowhere else; a float frame must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -85,21 +86,24 @@ def output_grid_shape(height, width, config: EncoderConfig):
 def encode(frame, params: EncoderParams) -> Tensor:
     """Embed one frame into a (H/d, W/d, C) grid.
 
-    Accepts a Tensor or array of shape (H, W, 3) with values in [0, 1].
-    Inputs not divisible by the downsample factor round their grid size up
-    (stride arithmetic uses ceil division); anything smaller than the
-    downsample factor is rejected.
+    Accepts an (H, W, 3) uint8 array, which becomes ``frame / 255.0`` (exact
+    for every uint8 value, so never outside [0, 1]), or a Tensor or float
+    array of that shape whose values must lie in [0, 1].  Inputs not
+    divisible by the downsample factor round their grid size up (stride
+    arithmetic uses ceil division); anything smaller than the downsample
+    factor is rejected.
     """
-    x = frame if isinstance(frame, Tensor) else Tensor(frame)
+    pixels = isinstance(frame, np.ndarray) and frame.dtype == np.uint8
+    x = frame if isinstance(frame, Tensor) else Tensor(frame / 255.0 if pixels else frame)
     if x.data.ndim != 3 or x.shape[2] != 3:
         raise ValueError(f"frame must be (H, W, 3), got {x.shape}")
     d = params.config.downsample
     if x.shape[0] < d or x.shape[1] < d:
         raise ValueError(f"frame dims {x.shape[:2]} smaller than downsample factor {d}")
-    if x.data.min() < 0.0 or x.data.max() > 1.0:
+    if not pixels and (x.data.min() < 0.0 or x.data.max() > 1.0):
         raise ValueError("frame values must lie in [0, 1]")
     s1, s2, s3 = params.config.strides
-    y = engine.relu(engine.conv2d(x, params.conv1_w, params.conv1_b, stride=s1))
-    y = engine.relu(engine.conv2d(y, params.conv2_w, params.conv2_b, stride=s2))
-    y = engine.relu(engine.conv2d(y, params.conv3_w, params.conv3_b, stride=s3))
+    y = engine.conv2d(x, params.conv1_w, params.conv1_b, stride=s1, relu=True)
+    y = engine.conv2d(y, params.conv2_w, params.conv2_b, stride=s2, relu=True)
+    y = engine.conv2d(y, params.conv3_w, params.conv3_b, stride=s3, relu=True)
     return engine.conv2d(y, params.proj_w, params.proj_b, stride=1)

@@ -35,7 +35,6 @@ from .synthdata import (
     downsample_mask,
     load_video,
     near_equal_runs,
-    read_video,
     render_static_scene,
     sample_training_clip,
 )
@@ -110,11 +109,11 @@ def train(manifest: DatasetManifest, config: TrainConfig, params=None):
     if params is None:
         params = init_model(seed=config.seed)
     downsample = params.downsample
-    videos = [read_video(manifest, e) for e in entries]
+    videos = [load_video(manifest, e) for e in entries]
     for frames, _ in videos:
         check_fits(params, frames, where)
     canvas = videos[0][0].shape[1]
-    # uint8 frames and grid targets; only the sampled clip frames become float
+    # uint8 frames and grid targets; encode scales the sampled clip frames
     videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
 
     optimizer = SGD(params.named_tensors(), config.lr, config.momentum)
@@ -139,9 +138,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, params=None):
                     for vi in picks:
                         frames, targets = videos[vi]
                         indices = sample_training_clip(list(range(len(frames))), config.n_prime, rng)
-                        batch.append(
-                            ([frames[t] / 255.0 for t in indices], [targets[t] for t in indices])
-                        )
+                        batch.append(([frames[t] for t in indices], [targets[t] for t in indices]))
                     loss = dynamic_batch_loss(batch, params, config)
             value = float(loss.data)
             grads = backward(tape, np.ones(()))

@@ -364,14 +364,15 @@ def load_manifest(root):
     return manifest
 
 
-def read_video(manifest: DatasetManifest, entry: ManifestEntry):
+def load_video(manifest: DatasetManifest, entry: ManifestEntry):
     """Frames as a (T, H, W, 3) uint8 stack, masks as (T, H, W) bools.
 
-    Each stack parses one header, its first file's (see ``pnm.read_stack``),
-    and the masks are thresholded at 128.  A frame or mask whose size
-    differs from the first frame's raises FormatError naming it and both
-    sizes.  The file names are plain strings; a FormatError's path is made
-    a ``Path`` when it is raised.
+    The frames stay the decoded bytes; ``encoder.encode`` scales each one it
+    embeds by 1/255.  Each stack parses one header, its first file's (see
+    ``pnm.read_stack``), and the masks are thresholded at 128.  A frame or
+    mask whose size differs from the first frame's raises FormatError naming
+    it and both sizes.  The file names are plain strings; a FormatError's
+    path is made a ``Path`` when it is raised.
     """
     vdir = str(manifest.video_dir(entry))
     steps = range(entry.num_frames)
@@ -384,16 +385,6 @@ def read_video(manifest: DatasetManifest, entry: ManifestEntry):
         exc.path = Path(exc.path)
         raise
     return frames, masks >= 128
-
-
-def load_video(manifest: DatasetManifest, entry: ManifestEntry):
-    """Frames as a (T, H, W, 3) float64 array in [0, 1], masks as (T, H, W) bools.
-
-    ``read_video`` plus one division by 255, which is exact for every uint8
-    value, so a frame converted later on its own has the same bytes.
-    """
-    frames, masks = read_video(manifest, entry)
-    return frames / 255.0, masks
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,29 @@ class TestEncode:
         params = init_encoder(EncoderConfig(channels=4, downsample=4), 0)
         with pytest.raises(ValueError, match="0, 1"):
             encode(np.full((8, 8, 3), 1.5), params)
+        with pytest.raises(ValueError, match="0, 1"):
+            encode(Tensor(np.full((8, 8, 3), -0.5)), params)
+
+    def test_uint8_frame_is_the_frame_over_255(self):
+        params = init_encoder(EncoderConfig(channels=4, downsample=4), 6)
+        rng = np.random.default_rng(8)
+        for shape in ((16, 16, 3), (12, 20, 3), (4, 4, 3)):
+            u8 = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            u8.flat[:2] = (0, 255)
+            got = encode(u8, params).data
+            assert got.tobytes() == encode(u8 / 255.0, params).data.tobytes()
+        # a row of a decoded stack is a view; it scales the same as a copy
+        stack = rng.integers(0, 256, size=(3, 8, 8, 3), dtype=np.uint8)
+        assert encode(stack[1], params).data.tobytes() == encode(stack[1] / 255.0, params).data.tobytes()
+
+    @pytest.mark.parametrize("shape, match", [
+        ((8, 8), "must be"), ((8, 8, 4), "must be"), ((8, 8, 3, 1), "must be"),
+        ((2, 8, 3), "smaller"), ((8, 3, 3), "smaller"),
+    ])
+    def test_bad_uint8_frame_rejected(self, shape, match):
+        params = init_encoder(EncoderConfig(channels=4, downsample=4), 0)
+        with pytest.raises(ValueError, match=match):
+            encode(np.zeros(shape, dtype=np.uint8), params)
 
     def test_zero_frame_matches_bias_propagation_oracle(self):
         cfg = EncoderConfig(channels=3, downsample=4)
@@ -84,8 +107,9 @@ class TestEncode:
             np.testing.assert_allclose(interior[:, :, c], interior[0, 0, c], atol=1e-12)
 
     def test_each_value_scanned_once(self, monkeypatch):
-        # the frame and the 7 op outputs are scanned as they become tensors;
-        # parameters and op inputs, checked when they were made, are not
+        # the frame and the 4 conv outputs are scanned as they become
+        # tensors, and the 3 relu convs scan their pre-activation; parameters
+        # and op inputs, checked when they were made, are not
         params = init_encoder(EncoderConfig(channels=8, downsample=4), 0)
         frame = np.random.default_rng(4).uniform(size=(64, 64, 3))
         scans = []
@@ -96,7 +120,8 @@ class TestEncode:
                                 raising=False)
         with Tape() as tape:
             encode(frame, params)
-        assert len(scans) == 1 + len(tape.records) == 8
+        assert len(tape.records) == 4
+        assert len(scans) == 1 + 3 + len(tape.records) == 8
 
     def test_gradients_flow_to_all_encoder_parameters(self):
         params = init_encoder(EncoderConfig(channels=3, downsample=4), 1)

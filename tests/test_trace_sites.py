@@ -73,3 +73,5 @@ def test_traced_train_run_ends_with_a_result_line():
     result = json.loads(lines[-1])
     assert result["correct"] is True
     assert isinstance(result["metrics"], dict) and result["metrics"]
+    # train decodes its videos through pipeline.load_video, a traced site
+    assert result["metrics"]["synthdata.load_video.calls"]["value"] > 0
