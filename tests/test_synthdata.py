@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agnnseg import pnm
+from agnnseg.encoder import EncoderConfig, encode, init_encoder
 from agnnseg.errors import FormatError
 from agnnseg.synthdata import (
     SHAPE_CLASSES,
@@ -495,7 +496,7 @@ class TestDataset:
         assert masks.dtype == bool and masks.shape == frames.shape[:3]
 
     def test_load_video_matches_per_file_decode_oracle(self, small_dataset):
-        for entry in [small_dataset.split(s)[0] for s in ("train", "test", "coseg")]:
+        for entry in small_dataset.split("train")[:2] + small_dataset.split("coseg")[:1]:
             vdir = small_dataset.video_dir(entry)
             decoded = [
                 (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
@@ -509,6 +510,24 @@ class TestDataset:
             for got, want in ((frames, want_frames), (masks, want_masks)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_load_video_is_the_per_file_decode_and_encode_divides_it(self, small_dataset):
+        params = init_encoder(EncoderConfig(channels=4, downsample=4), 0)
+        for entry in [small_dataset.split(s)[0] for s in ("train", "test", "coseg")]:
+            vdir = small_dataset.video_dir(entry)
+            decoded = [
+                (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
+                 oracles.read_pnm_loops((vdir / f"mask_{t:04d}.pgm").read_bytes(), b"P5", 1))
+                for t in range(entry.num_frames)
+            ]
+            frames, masks = load_video(small_dataset, entry)
+            assert frames.dtype == np.uint8 and masks.dtype == bool
+            assert frames.tobytes() == np.stack([f for f, _ in decoded]).tobytes()
+            assert masks.tobytes() == np.stack([m >= 128 for _, m in decoded]).tobytes()
+            # encode scales the uint8 rows to the float frames load_video used to return
+            for t in (0, entry.num_frames - 1):
+                scaled = decoded[t][0].astype(float) / 255.0
+                assert encode(frames[t], params).data.tobytes() == encode(scaled, params).data.tobytes()
 
     @pytest.mark.parametrize("name", ["frame_0002.ppm", "mask_0000.pgm", "mask_0003.pgm"])
     def test_file_of_another_size_named(self, small_dataset, tmp_path, name):
