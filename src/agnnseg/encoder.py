@@ -103,7 +103,7 @@ def encode(frame, params: EncoderParams) -> Tensor:
     if not pixels and (x.data.min() < 0.0 or x.data.max() > 1.0):
         raise ValueError("frame values must lie in [0, 1]")
     s1, s2, s3 = params.config.strides
-    y = engine.conv2d(x, params.conv1_w, params.conv1_b, stride=s1, relu=True)
-    y = engine.conv2d(y, params.conv2_w, params.conv2_b, stride=s2, relu=True)
-    y = engine.conv2d(y, params.conv3_w, params.conv3_b, stride=s3, relu=True)
+    y = engine.relu(engine.conv2d(x, params.conv1_w, params.conv1_b, stride=s1))
+    y = engine.relu(engine.conv2d(y, params.conv2_w, params.conv2_b, stride=s2))
+    y = engine.relu(engine.conv2d(y, params.conv3_w, params.conv3_b, stride=s3))
     return engine.conv2d(y, params.proj_w, params.proj_b, stride=1)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, NonFiniteError, Tensor, active_tape, all_finite
+from .tensor import GradientMap, NonFiniteError, Tensor, active_tape
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -81,13 +81,7 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
 
 def _conv2d_forward(arrays, attrs):
     """Convolution padded by ``(k - 1) // 2`` per side, so stride ``s`` keeps
-    ``ceil(n / s)`` positions: one GEMM over the patch matrix, saved for the VJP.
-
-    With ``attrs["relu"]`` set, a relu runs on the GEMM output in place.  The
-    pre-activation is checked for NaN or Inf first (a -inf must raise, not
-    clamp to 0), and the mask ``out > 0`` is saved, the bytes the ``relu`` op
-    saves, so the result and every gradient match ``relu(conv2d(...))``.
-    """
+    ``ceil(n / s)`` positions: one GEMM over the patch matrix, saved for the VJP."""
     x = arrays[0]
     w = arrays[1]
     bias = arrays[2] if len(arrays) == 3 else None
@@ -114,14 +108,8 @@ def _conv2d_forward(arrays, attrs):
     out = colmat @ w.reshape(kh * kw * c_in, c_out)
     if bias is not None:
         out += bias  # in place on the fresh GEMM output: same ufunc, same bits
-    out = out.reshape(h_out, w_out, c_out)
     saved = {"colmat": colmat, "w": w, "x_shape": x.shape, "has_bias": bias is not None}
-    if attrs.get("relu", False):
-        if not all_finite(out):
-            raise NonFiniteError("conv2d output contains NaN or Inf")
-        np.maximum(out, 0.0, out=out)
-        saved["mask"] = out > 0
-    return out, saved
+    return out.reshape(h_out, w_out, c_out), saved
 
 
 def _conv2d_vjp(g, saved, attrs):
@@ -129,8 +117,6 @@ def _conv2d_vjp(g, saved, attrs):
     w = saved["w"]
     kh, kw, c_in, c_out = w.shape
     h_in, w_in, _ = saved["x_shape"]
-    if "mask" in saved:
-        g = g * saved["mask"]
     h_out, w_out, _ = g.shape
     gmat = g.reshape(h_out * w_out, c_out)
     gw = (saved["colmat"].T @ gmat).reshape(w.shape)
@@ -189,9 +175,10 @@ _register("transpose")((_transpose_forward, _transpose_vjp))
 def _row_softmax_forward(arrays, attrs):
     (a,) = arrays
     _require(a.ndim == 2, "row_softmax needs a rank-2 input, got shape {}", a.shape)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    # one (rows, cols) array: the shifted input becomes exp, then the output
+    out = a - a.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
     return out, {"out": out}
 
 
@@ -505,9 +492,9 @@ def replay(tape):
 # thin callable wrappers (the model-facing surface)
 
 
-def conv2d(x, w, bias=None, stride=1, relu=False):
+def conv2d(x, w, bias=None, stride=1):
     inputs = [x, w] if bias is None else [x, w, bias]
-    return apply("conv2d", inputs, {"stride": stride, "relu": relu})
+    return apply("conv2d", inputs, {"stride": stride})
 
 
 def matmul(a, b):

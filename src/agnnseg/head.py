@@ -75,8 +75,8 @@ def readout(h_final, v, params: ReadoutParams) -> Tensor:
     if h_final.shape != v.shape:
         raise ValueError(f"state shapes differ: {h_final.shape} vs {v.shape}")
     x = engine.concat_channels(h_final, v)
-    x = engine.conv2d(x, params.conv1_w, params.conv1_b, relu=True)
-    x = engine.conv2d(x, params.conv2_w, params.conv2_b, relu=True)
+    x = engine.relu(engine.conv2d(x, params.conv1_w, params.conv1_b))
+    x = engine.relu(engine.conv2d(x, params.conv2_w, params.conv2_b))
     logits = engine.conv2d(x, params.proj_w, params.proj_b)
     probs = engine.sigmoid(logits)
     return engine.reshape(probs, probs.shape[:2])

@@ -107,9 +107,8 @@ class TestEncode:
             np.testing.assert_allclose(interior[:, :, c], interior[0, 0, c], atol=1e-12)
 
     def test_each_value_scanned_once(self, monkeypatch):
-        # the frame and the 4 conv outputs are scanned as they become
-        # tensors, and the 3 relu convs scan their pre-activation; parameters
-        # and op inputs, checked when they were made, are not
+        # the frame and the 7 op outputs are scanned as they become tensors;
+        # parameters and op inputs, checked when they were made, are not
         params = init_encoder(EncoderConfig(channels=8, downsample=4), 0)
         frame = np.random.default_rng(4).uniform(size=(64, 64, 3))
         scans = []
@@ -120,8 +119,7 @@ class TestEncode:
                                 raising=False)
         with Tape() as tape:
             encode(frame, params)
-        assert len(tape.records) == 4
-        assert len(scans) == 1 + 3 + len(tape.records) == 8
+        assert len(scans) == 1 + len(tape.records) == 8
 
     def test_gradients_flow_to_all_encoder_parameters(self):
         params = init_encoder(EncoderConfig(channels=3, downsample=4), 1)
