@@ -17,7 +17,7 @@ import numpy as np
 from . import head as head_mod
 from . import metrics
 from .config import TrainConfig
-from .engine import NonFiniteError, Tape, backward
+from .engine import NonFiniteError, Tape, Tensor, active_tape, backward
 from .errors import DatasetError
 from .graph import run_graph
 from .head import mean_loss
@@ -202,12 +202,22 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PR
     fresh graph, and the target's raw state (no readout in between) seeds the
     next run.  A lone image runs one graph of its own state.  Returns the
     target's foreground probability map.
+
+    Each image is encoded the first time a call needs it, and the
+    embeddings of the last group seen are reused: a call takes them when
+    its images equal that group's in number, dtype, shape and bytes and
+    ``params.encoder`` holds the same config and ``Tensor.data`` arrays
+    (``is``), so training or loading a model encodes again.  Under an
+    active tape every image is encoded afresh and nothing is kept, so the
+    encoder is recorded.  Co-segmenting every image of a group of N thus
+    takes N encodes instead of N^2.
     """
     images = list(images)
     n = len(images)
     if not 0 <= target_index < n:
         raise ValueError(f"target index {target_index} outside 0..{n - 1}")
-    (v_target,) = encode_frames([images[target_index]], params)
+    embed = _group_embedder(images, params)
+    (v_target,) = embed([target_index])
     others = [i for i in range(n) if i != target_index]
     groups = [[]]
     if others:
@@ -216,9 +226,47 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PR
         groups = _near_equal_chunks(others, per_group=n_prime - 1)
     state = v_target
     for group in groups:
-        nodes = [state] + encode_frames([images[i] for i in group], params)
+        nodes = [state] + embed(group)
         state = run_graph(nodes, k_iters, params.attention, gated)[0]
     return head_mod.readout(state, v_target, params.readout).data
+
+
+@dataclass
+class _GroupEmbeddings:
+    """The last group ``iocs_infer`` saw, replaced whole when a call differs."""
+
+    images: list  # (dtype, shape, bytes) per image
+    encoder: tuple  # the encoder config and its Tensor.data arrays, compared with `is`
+    embeddings: dict = field(default_factory=dict)  # image index -> Tensor
+
+
+_last_group = None
+
+
+def _group_embedder(images, params: ModelParameters):
+    """``embed(indices)``: the node states of those images, in that order."""
+    if active_tape() is not None:
+        return lambda indices: encode_frames([images[i] for i in indices], params)
+    global _last_group
+    keys = [_image_key(image) for image in images]
+    encoder = (params.encoder.config,) + tuple(t.data for _, t in params.encoder.named())
+    memo = _last_group
+    if memo is None or memo.images != keys or any(
+            a is not b for a, b in zip(memo.encoder, encoder)):
+        memo = _last_group = _GroupEmbeddings(keys, encoder)
+    cache = memo.embeddings
+
+    def embed(indices):
+        missing = [i for i in indices if i not in cache]
+        cache.update(zip(missing, encode_frames([images[i] for i in missing], params)))
+        return [cache[i] for i in indices]
+
+    return embed
+
+
+def _image_key(image):
+    arr = np.asarray(image.data if isinstance(image, Tensor) else image)
+    return arr.dtype, arr.shape, arr.tobytes()
 
 
 def _near_equal_chunks(items, per_group):

@@ -1,10 +1,15 @@
 """Training behaviour, inference scheduling, co-segmentation, evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agnnseg.pipeline as pl
+from agnnseg import head, model
+from agnnseg.engine import Tape
 from agnnseg.graph import run_graph
 from agnnseg.head import readout
 from agnnseg.model import encode_frames, init_model
@@ -18,7 +23,12 @@ from agnnseg.pipeline import (
     iocs_infer,
     train,
 )
-from agnnseg.synthdata import downsample_mask, generate_dataset, load_video
+from agnnseg.synthdata import (
+    downsample_mask,
+    generate_dataset,
+    load_video,
+    render_static_scene,
+)
 
 
 CHANNELS = 6
@@ -222,6 +232,34 @@ class TestInferVideo:
             assert x.tobytes() == y.tobytes()
 
 
+def coseg_group(seeds):
+    """uint8 scenes, like the frames the CLI and the benchmark pass."""
+    return [np.round(render_static_scene(CANVAS, seed=s)[0] * 255.0).astype(np.uint8)
+            for s in seeds]
+
+
+@pytest.fixture
+def coseg_stubs(monkeypatch):
+    """Count encodes and record each graph's nodes; graph and readout pass
+    the state through, so no reshape runs."""
+    stubs = SimpleNamespace(encoded=[], graphs=[])
+    real_encode = model.encode
+
+    def counting_encode(frame, params):
+        stubs.encoded.append(frame)
+        return real_encode(frame, params)
+
+    def graph(nodes, k_iters, params, gated):
+        stubs.graphs.append(nodes)
+        return nodes
+
+    monkeypatch.setattr(pl, "_last_group", None)
+    monkeypatch.setattr(model, "encode", counting_encode)
+    monkeypatch.setattr(pl, "run_graph", graph)
+    monkeypatch.setattr(head, "readout", lambda state, v, params: state)
+    return stubs
+
+
 class TestIocs:
     def test_single_image_self_loop_only(self, dataset):
         params = init_model(channels=CHANNELS, downsample=4, seed=0)
@@ -250,8 +288,60 @@ class TestIocs:
         params = init_model(channels=CHANNELS, downsample=4, seed=3)
         images = [load_video(dataset, e)[0][0] for e in dataset.split("coseg")[:5]]
         a = iocs_infer(images, 2, params, n_prime=3, k_iters=2)
-        b = iocs_infer(images, 2, params, n_prime=3, k_iters=2)
-        assert a.tobytes() == b.tobytes()
+        b = iocs_infer(images, 2, params, n_prime=3, k_iters=2)  # reuses a's embeddings
+        # equal values in new arrays: every image is encoded afresh
+        c = iocs_infer(images, 2, init_model(channels=CHANNELS, downsample=4, seed=3),
+                       n_prime=3, k_iters=2)
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_group_is_encoded_once_across_targets(self, coseg_stubs):
+        params = init_model(channels=CHANNELS, downsample=4, seed=4)
+        images = coseg_group(seeds=range(10))
+        per_target = []
+        for target in range(10):
+            start = len(coseg_stubs.graphs)
+            iocs_infer(images, target, params)
+            per_target.append(coseg_stubs.graphs[start:])
+        assert len(coseg_stubs.encoded) == 10
+        want = [v.data.tobytes() for v in encode_frames(images, params)]
+        for target, graphs in enumerate(per_target):
+            others = [i for i in range(10) if i != target]
+            assert [len(nodes) for nodes in graphs] == [3] * 4 + [2]
+            got = [graphs[0][0]] + [v for nodes in graphs for v in nodes[1:]]
+            assert [v.data.tobytes() for v in got] == [want[i] for i in [target] + others]
+
+    def test_changed_group_or_encoder_encodes_again(self, coseg_stubs):
+        params = init_model(channels=CHANNELS, downsample=4, seed=4)
+        images = coseg_group(seeds=range(10))
+        other = coseg_group(seeds=range(10, 20))
+        touched = [image.copy() for image in images]
+        touched[7][3, 5, 1] ^= 1
+
+        def encodes(group):
+            before = len(coseg_stubs.encoded)
+            iocs_infer(group, 0, params)
+            return len(coseg_stubs.encoded) - before
+
+        assert encodes(images) == 10
+        assert encodes([image.copy() for image in images]) == 0
+        assert encodes(other) == 10
+        assert encodes(images) == 10
+        assert encodes(touched) == 10
+        assert encodes(images) == 10
+        params.encoder.conv2_b.data = params.encoder.conv2_b.data.copy()
+        assert encodes(images) == 10
+        assert encodes(images) == 0
+
+    def test_tape_encodes_every_call(self, coseg_stubs):
+        params = init_model(channels=CHANNELS, downsample=4, seed=4)
+        images = coseg_group(seeds=range(10))
+        iocs_infer(images, 0, params)
+        with Tape() as tape:
+            iocs_infer(images, 1, params)
+            iocs_infer(images, 1, params)
+        assert len(coseg_stubs.encoded) == 10 + 2 * 10
+        # four convs an encode, all on the tape
+        assert sum(r.kind == "conv2d" for r in tape.records) == 2 * 10 * 4
 
     def test_bad_index_rejected(self, dataset):
         params = init_model(channels=CHANNELS, downsample=4, seed=0)
