@@ -8,10 +8,12 @@ divergence, 4 checkpoint/config shape mismatch.
 A --config file holds key=value lines.  Each key takes its default, type and
 range from the dataclass field that owns it: canvas and frames_per_video from
 SyntheticVideoSpec.canvas and .num_frames; channels and downsample from
-EncoderConfig; n_prime_train, k_iters, lr, momentum, iters and seed from
-TrainConfig.n_prime, .k_iters, .lr, .momentum, .iterations and .seed (seed
-also seeds gen-data).  out_dir is the gen-data output without --out.  Only
-gen-data reads canvas and frames_per_video, and checks that downsample divides canvas.
+EncoderConfig; k_iters from GraphConfig; n_prime_train, lr, momentum, iters
+and seed from TrainConfig.n_prime, .lr, .momentum, .iterations and .seed
+(seed also seeds gen-data).  out_dir is the gen-data output without --out.
+Only gen-data reads canvas and frames_per_video, and checks that downsample
+divides canvas.  The checkpoint carries channels, downsample, K and the
+gating to infer and eval.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import sys
 from pathlib import Path
 
 from . import pnm
+from .config import TrainConfig
 from .encoder import EncoderConfig
 from .errors import DatasetError, FieldError, FormatError
+from .graph import GraphConfig
 from .model import CheckpointMismatchError, check_fits, init_model, load_model, save_model
 from .pipeline import (COSEG_N_PRIME, MASK_THRESHOLD, TEST_N_PRIME, DivergenceError,
-                       TrainConfig, evaluate, infer_video, iocs_infer, train)
+                       evaluate, infer_video, iocs_infer, train)
 from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
 
 EXIT_OK = 0
@@ -41,7 +45,7 @@ CONFIG_FIELDS = {
     "channels": (EncoderConfig, "channels"),
     "downsample": (EncoderConfig, "downsample"),
     "n_prime_train": (TrainConfig, "n_prime"),
-    "k_iters": (TrainConfig, "k_iters"),
+    "k_iters": (GraphConfig, "k_iters"),
     "lr": (TrainConfig, "lr"),
     "momentum": (TrainConfig, "momentum"),
     "iters": (TrainConfig, "iterations"),
@@ -118,12 +122,13 @@ def cmd_train(args):
     cfg = parse_config(args.config)
     train_cfg = _build(args.config, TrainConfig, cfg)
     encoder = _build(args.config, EncoderConfig, cfg)
+    graph = _build(args.config, GraphConfig, cfg)
     manifest = load_manifest(args.data)
-    params = init_model(encoder.channels, encoder.downsample, seed=train_cfg.seed)
+    params = init_model(encoder.channels, encoder.downsample, seed=train_cfg.seed, graph=graph)
     result = train(manifest, train_cfg, params=params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_model(out / "checkpoint.agnn", result.params, k_iters=train_cfg.k_iters)
+    save_model(out / "checkpoint.agnn", result.params)
     with open(out / "loss.csv", "w") as f:
         for i, value in enumerate(result.losses):
             f.write(f"{i},{value:.9f}\n")
@@ -139,7 +144,7 @@ def _load_frames_dir(video_dir):
 
 
 def cmd_infer(args):
-    params, meta = load_model(args.checkpoint)
+    params = load_model(args.checkpoint)
     frames = _load_frames_dir(args.video_dir)
     check_fits(params, frames, args.video_dir)
     coseg = args.task == "coseg"
@@ -147,16 +152,12 @@ def cmd_infer(args):
     n_prime = default if args.n_prime is None else args.n_prime
     # each co-segmentation graph holds the target and at least one other image
     _check_n_prime(n_prime, 2 if coseg and len(frames) > 1 else 1)
-    k_iters = int(meta["k_iters"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if coseg:
-        probs = [
-            iocs_infer(frames, i, params, n_prime=n_prime, k_iters=k_iters)
-            for i in range(len(frames))
-        ]
+        probs = [iocs_infer(frames, i, params, n_prime=n_prime) for i in range(len(frames))]
     else:
-        probs = infer_video(frames, params, n_prime=n_prime, k_iters=k_iters)
+        probs = infer_video(frames, params, n_prime=n_prime)
     height, width = frames.shape[1:3]
     for i, prob in enumerate(probs):
         up = bilinear_upsample(prob, params.downsample)[:height, :width]
@@ -167,11 +168,9 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     _check_n_prime(args.n_prime, 1)
-    params, meta = load_model(args.checkpoint)
+    params = load_model(args.checkpoint)
     manifest = load_manifest(args.data)
-    report = evaluate(
-        manifest, params, split=args.split, n_prime=args.n_prime, k_iters=int(meta["k_iters"])
-    )
+    report = evaluate(manifest, params, split=args.split, n_prime=args.n_prime)
     for video_id, j, f in report.rows:
         print(f"{video_id},{j:.6f},{f:.6f}")
     print(f"mean,{report.mean_j:.6f},{report.mean_f:.6f}")

@@ -1,5 +1,6 @@
-"""Training hyperparameters: the one home of K, training N' and the gate switch,
-which the graph, model and pipeline modules name as ``TrainConfig.<field>``."""
+"""Training hyperparameters: batch, training N', SGD and seed.  The model's
+own settings live beside its code: ``EncoderConfig`` in ``encoder`` and
+``GraphConfig`` (K and the gating) in ``graph``."""
 
 from dataclasses import dataclass
 
@@ -10,15 +11,13 @@ from .errors import FieldError
 class TrainConfig:
     videos_per_batch: int = 2
     n_prime: int = 3
-    k_iters: int = 3
     lr: float = 1e-3
     momentum: float = 0.9
     iterations: int = 2000
-    gated: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("videos_per_batch", "n_prime", "k_iters", "iterations"):
+        for name in ("videos_per_batch", "n_prime", "iterations"):
             value = getattr(self, name)
             if value < 1:
                 raise FieldError(name, f"must be >= 1, got {value}")

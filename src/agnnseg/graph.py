@@ -5,8 +5,9 @@ grid, and every pair of nodes is an edge.  One round computes, from the
 previous round's states only (Jacobi semantics): a self-attention loop edge
 per node, a bilinear line edge per node pair, row-softmax weighted neighbor
 messages, per-channel confidence gates, a gated sum, and a convolutional GRU
-state update.  All parameters are shared across nodes; the number of rounds
-K and the gating are the only run settings.
+state update.  All parameters are shared across nodes.  The number of rounds
+K and the gating are part of the model: ``GraphConfig``, held by the
+parameters as ``AttentionParams.config`` and saved with them.
 """
 
 from __future__ import annotations
@@ -16,15 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .config import TrainConfig
 from .engine import Tensor, tensor_fields
+from .errors import FieldError
+
+
+@dataclass(frozen=True)
+class GraphConfig:
+    """K message-passing rounds, and whether messages are gated before summing."""
+
+    k_iters: int = 3
+    gated: bool = True
+
+    def __post_init__(self):
+        if self.k_iters < 1:
+            raise FieldError("k_iters", f"must be >= 1, got {self.k_iters}")
 
 
 @dataclass
 class AttentionParams:
     """Shared learnable tensors for edges, gates, and the state update."""
 
-    channels: int
+    config: GraphConfig
     w_f: Tensor
     w_h: Tensor
     w_l: Tensor
@@ -43,14 +56,14 @@ class AttentionParams:
         return tensor_fields(self)
 
 
-def init_attention_params(channels, seed) -> AttentionParams:
+def init_attention_params(channels, seed, config: GraphConfig) -> AttentionParams:
     """Residual-friendly start: alpha = 0, near-identity pair similarity."""
     from .encoder import he_uniform
 
     rng = np.random.default_rng(seed)
     c = channels
     return AttentionParams(
-        channels=c,
+        config=config,
         w_f=Tensor(he_uniform(rng, (1, 1, c, c)), name="attn.w_f"),
         w_h=Tensor(he_uniform(rng, (1, 1, c, c)), name="attn.w_h"),
         w_l=Tensor(he_uniform(rng, (1, 1, c, c)), name="attn.w_l"),
@@ -150,13 +163,13 @@ def convgru_update(h_prev, m, params: AttentionParams) -> Tensor:
     return engine.add(h_prev, engine.mul(z, engine.add(cand, engine.scalar_scale(h_prev, -1.0))))
 
 
-def propagate_round(states, params: AttentionParams, gated=TrainConfig.gated):
+def propagate_round(states, params: AttentionParams):
     """One message-passing round with Jacobi semantics; returns the new states.
 
     Every edge, message, and gate is computed from the incoming states; all
     nodes then update simultaneously.  A node's own message is its loop edge.
     Aggregation sums over senders in ascending node-index order, gated unless
-    ``gated`` is off.
+    ``params.config.gated`` is off.
     """
     n = len(states)
     loop_edges = [intra_attention(h, params) for h in states]
@@ -172,18 +185,17 @@ def propagate_round(states, params: AttentionParams, gated=TrainConfig.gated):
             loop_edges[i] if j == i else neighbor_message(states[j], line_edges[(i, j)])
             for j in range(n)
         ]
-        gates = [message_gate(m, params) for m in messages] if gated else None
+        gates = [message_gate(m, params) for m in messages] if params.config.gated else None
         new_states.append(convgru_update(states[i], aggregate_messages(messages, gates), params))
     return new_states
 
 
-def run_graph(states, k_iters: int, params: AttentionParams, gated=TrainConfig.gated):
-    """Apply ``k_iters`` rounds to a list of node states; returns the final states.
+def run_graph(states, params: AttentionParams):
+    """Apply ``params.config.k_iters`` rounds to a list of node states; returns
+    the final states.
 
     The states must be non-empty and share one (H, W, C) shape.
     """
-    if k_iters < 1:
-        raise ValueError(f"k_iters must be >= 1, got {k_iters}")
     states = list(states)
     if not states:
         raise ValueError("graph needs at least one node state")
@@ -192,6 +204,6 @@ def run_graph(states, k_iters: int, params: AttentionParams, gated=TrainConfig.g
         raise ValueError(f"node states disagree on shape: {sorted(shapes)}")
     if len(states[0].shape) != 3:
         raise ValueError(f"node states must be (H, W, C) grids, got shape {states[0].shape}")
-    for _ in range(k_iters):
-        states = propagate_round(states, params, gated)
+    for _ in range(params.config.k_iters):
+        states = propagate_round(states, params)
     return states

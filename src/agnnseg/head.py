@@ -103,11 +103,7 @@ def weighted_bce(target, pred: Tensor) -> LossStats:
     eta, with eta the clamped foreground fraction of the binary target
     array.  Log arguments are clamped at ``engine.ops.LOG_CLAMP`` (1e-12).
     """
-    arr = np.asarray(target, dtype=float)
-    if arr.shape != pred.shape:
-        raise ValueError(f"target shape {arr.shape} does not match prediction {pred.shape}")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError("ground-truth mask must be binary")
+    arr = np.asarray(target, dtype=float)  # the engine op checks its shape and values
     eta = foreground_ratio(arr)
     loss = engine.weighted_bce(pred, arr, eta=eta)
     return LossStats(loss=loss, eta=eta)

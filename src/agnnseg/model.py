@@ -8,10 +8,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import head as head_mod
-from .config import TrainConfig
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .engine import NonFiniteError, Tensor
-from .graph import AttentionParams, init_attention_params, run_graph
+from .graph import AttentionParams, GraphConfig, init_attention_params, run_graph
 from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
 
 
@@ -57,13 +56,14 @@ class ModelParameters:
 
 
 def init_model(channels=EncoderConfig.channels, downsample=EncoderConfig.downsample,
-               seed=0) -> ModelParameters:
-    """Deterministic initialization; component seeds derive from one seed."""
+               seed=0, graph=GraphConfig()) -> ModelParameters:
+    """Deterministic initialization; component seeds derive from one seed,
+    and ``graph`` sets K and the gating without changing any tensor."""
     seeds = np.random.SeedSequence(seed).generate_state(4)
     config = EncoderConfig(channels=channels, downsample=downsample)
     return ModelParameters(
         encoder=init_encoder(config, int(seeds[0])),
-        attention=init_attention_params(channels, int(seeds[1])),
+        attention=init_attention_params(channels, int(seeds[1]), graph),
         readout=init_readout(channels, int(seeds[2])),
         aux=init_aux(channels, int(seeds[3])),
     )
@@ -74,20 +74,20 @@ def encode_frames(frames, params: ModelParameters):
     return [encode(f, params.encoder) for f in frames]
 
 
-def predict_clip(frames, params: ModelParameters, k_iters, gated):
+def predict_clip(frames, params: ModelParameters):
     """Masks for a clip: encode, run the graph, read out every node.
 
     Returns one probability map per frame: tensors at feature resolution
     with values in [0, 1].
     """
     embeddings = encode_frames(frames, params)
-    finals = run_graph(embeddings, k_iters, params.attention, gated)
+    finals = run_graph(embeddings, params.attention)
     return [head_mod.readout(h, v, params.readout) for h, v in zip(finals, embeddings)]
 
 
-def clip_loss(frames, grid_masks, params: ModelParameters, k_iters, gated=TrainConfig.gated):
+def clip_loss(frames, grid_masks, params: ModelParameters):
     """Per-frame weighted BCE against grid-resolution binary masks."""
-    preds = predict_clip(frames, params, k_iters, gated)
+    preds = predict_clip(frames, params)
     return [weighted_bce(gt, pred) for gt, pred in zip(grid_masks, preds)]
 
 
@@ -101,35 +101,39 @@ def static_loss(images, grid_masks, params: ModelParameters):
     return stats
 
 
-def save_model(path, params: ModelParameters, k_iters=TrainConfig.k_iters):
+def save_model(path, params: ModelParameters):
     """Write all named tensors plus the hyperparameters inference needs."""
     named = [(name, t.data) for name, t in params.named_tensors()]
+    graph = params.attention.config
     meta = {
         "channels": params.channels,
         "downsample": params.downsample,
-        "k_iters": k_iters,
+        "k_iters": graph.k_iters,
+        "gated": int(graph.gated),
     }
     ckpt.write_checkpoint(path, named, meta)
 
 
 def load_model(path):
-    """Rebuild ModelParameters from a checkpoint; returns (params, meta).
+    """Rebuild ModelParameters, K and the gating from a checkpoint.
 
-    Every meta value must be a finite whole number of at least 1, and every
-    tensor finite.
+    meta.gated must be 0 or 1, every other meta value a finite whole number
+    of at least 1, and every tensor finite.
     """
     tensors, meta = ckpt.read_checkpoint(path)
-    for key in ("channels", "downsample", "k_iters"):
+    for key in ("channels", "downsample", "k_iters", "gated"):
         if key not in meta:
             raise CheckpointMismatchError(f"{path}: missing meta.{key} record")
+    for key in ("channels", "downsample", "k_iters"):
         if not (meta[key].is_integer() and meta[key] >= 1):
             raise CheckpointMismatchError(
                 f"{path}: meta.{key} is {meta[key]}, expected a whole number >= 1"
             )
-    channels = int(meta["channels"])
-    downsample = int(meta["downsample"])
+    if meta["gated"] not in (0.0, 1.0):
+        raise CheckpointMismatchError(f"{path}: meta.gated is {meta['gated']}, expected 0 or 1")
+    graph = GraphConfig(k_iters=int(meta["k_iters"]), gated=meta["gated"] == 1.0)
     try:
-        params = init_model(channels=channels, downsample=downsample, seed=0)
+        params = init_model(int(meta["channels"]), int(meta["downsample"]), graph=graph)
     except ValueError as exc:
         raise CheckpointMismatchError(f"{path}: {exc}") from exc
     expected = params.named_tensors()
@@ -149,4 +153,4 @@ def load_model(path):
             tensor.data = stored.copy()
         except NonFiniteError as exc:
             raise CheckpointMismatchError(f"{path}: {exc}") from exc
-    return params, meta
+    return params

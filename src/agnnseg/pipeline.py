@@ -79,11 +79,11 @@ class SGD:
                 tensor.data = tensor.data + v
 
 
-def dynamic_batch_loss(batch, params, config: TrainConfig):
+def dynamic_batch_loss(batch, params):
     """Mean frame loss over one graph per video in the batch."""
     stats = []
     for frames, grid_masks in batch:
-        stats.extend(clip_loss(frames, grid_masks, params, k_iters=config.k_iters, gated=config.gated))
+        stats.extend(clip_loss(frames, grid_masks, params))
     return mean_loss(stats)
 
 
@@ -94,7 +94,7 @@ def static_batch_loss(scenes, params):
 def train(manifest: DatasetManifest, config: TrainConfig, params=None):
     """Optimize the model on a dataset's train split.
 
-    ``params`` is updated in place and defaults to
+    ``params`` is updated in place, sets K and the gating, and defaults to
     ``init_model(seed=config.seed)``.  Static and dynamic iterations
     alternate, static on even steps.  Returns the trained parameters and one
     loss value per iteration; raises DivergenceError the moment anything goes
@@ -139,7 +139,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, params=None):
                         frames, targets = videos[vi]
                         indices = sample_training_clip(list(range(len(frames))), config.n_prime, rng)
                         batch.append(([frames[t] for t in indices], [targets[t] for t in indices]))
-                    loss = dynamic_batch_loss(batch, params, config)
+                    loss = dynamic_batch_loss(batch, params)
             value = float(loss.data)
             grads = backward(tape, np.ones(()))
             optimizer.step(grads)
@@ -173,8 +173,7 @@ class InferenceSchedule:
         ]
 
 
-def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME,
-                k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
+def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME):
     """Per-frame foreground probability maps, one strided subset at a time.
 
     Each subset becomes a graph (the last ones may hold fewer than n_prime
@@ -187,14 +186,13 @@ def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME,
     schedule = InferenceSchedule(len(frames), n_prime)
     out = [None] * len(frames)
     for subset in schedule.subsets:
-        maps = predict_clip([frames[t] for t in subset], params, k_iters=k_iters, gated=gated)
+        maps = predict_clip([frames[t] for t in subset], params)
         for t, m in zip(subset, maps):
             out[t] = m.data
     return out
 
 
-def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PRIME,
-               k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
+def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PRIME):
     """Co-segmentation of one image against the rest of its group.
 
     The other images are split in dataset order into ceil((N-1)/(n_prime-1))
@@ -227,7 +225,7 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PR
     state = v_target
     for group in groups:
         nodes = [state] + embed(group)
-        state = run_graph(nodes, k_iters, params.attention, gated)[0]
+        state = run_graph(nodes, params.attention)[0]
     return head_mod.readout(state, v_target, params.readout).data
 
 
@@ -285,7 +283,7 @@ class EvalReport:
 
 
 def evaluate(manifest: DatasetManifest, params: ModelParameters, split="test",
-             n_prime=TEST_N_PRIME, k_iters=TrainConfig.k_iters, gated=TrainConfig.gated):
+             n_prime=TEST_N_PRIME):
     """Mean region and boundary agreement per video and across a split.
 
     Predictions are binarized at MASK_THRESHOLD and compared at feature-grid
@@ -301,7 +299,7 @@ def evaluate(manifest: DatasetManifest, params: ModelParameters, split="test",
     for entry in entries:
         frames, masks = load_video(manifest, entry)
         check_fits(params, frames, manifest.video_dir(entry))
-        probs = infer_video(list(frames), params, n_prime=n_prime, k_iters=k_iters, gated=gated)
+        probs = infer_video(list(frames), params, n_prime=n_prime)
         js, fs = [], []
         for prob, gt in zip(probs, downsample_mask(masks, d)):
             pred = prob > MASK_THRESHOLD

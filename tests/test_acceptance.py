@@ -16,6 +16,7 @@ import pytest
 from agnnseg import engine
 from agnnseg.engine import Tape, Tensor, backward, grad_check
 from agnnseg.graph import (
+    GraphConfig,
     aggregate_messages,
     convgru_update,
     init_attention_params,
@@ -65,7 +66,7 @@ def default_dataset(tmp_path_factory):
 def test_criterion_1_full_pipeline_gradients():
     """Analytic gradients of the whole model match finite differences."""
     start = time.time()
-    params = init_model(channels=8, downsample=4, seed=0)
+    params = init_model(channels=8, downsample=4, seed=0, graph=GraphConfig(k_iters=2))
     params.attention.alpha.data = np.asarray(0.7)  # make the attention path live
     frames, masks = [], []
     for seed in range(3):
@@ -74,7 +75,7 @@ def test_criterion_1_full_pipeline_gradients():
         masks.append(downsample_mask(mask, 4))
 
     def loss_fn(*param_tensors):
-        return mean_loss(clip_loss(frames, masks, params, k_iters=2))
+        return mean_loss(clip_loss(frames, masks, params))
 
     tensors = [t for _, t in params.named_tensors()]
     result = grad_check(loss_fn, tensors, eps=1e-5)
@@ -96,7 +97,7 @@ def test_criterion_2_oracle_equivalence():
         if h * w > 9:
             w = 3
         c = int(rng.integers(1, 5))
-        p = init_attention_params(c, int(rng.integers(2**31)))
+        p = init_attention_params(c, int(rng.integers(2**31)), GraphConfig())
         p.alpha.data = np.asarray(float(rng.normal()))
 
         state = Tensor(rng.normal(size=(h, w, c)))
@@ -148,7 +149,7 @@ def test_criterion_3_algebraic_invariants():
     for _ in range(100):
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        p = init_attention_params(c, int(rng.integers(2**31)))
+        p = init_attention_params(c, int(rng.integers(2**31)), GraphConfig(k_iters=2))
         a = Tensor(rng.normal(size=(h, w, c)))
         b = Tensor(rng.normal(size=(h, w, c)))
         e_ij, e_ji = inter_attention(a, b, p.w_c)
@@ -157,7 +158,7 @@ def test_criterion_3_algebraic_invariants():
         worst_rowsum = max(worst_rowsum, np.abs(soft.sum(axis=1) - 1.0).max())
         gate = message_gate(a, p).data
         gates_ok = gates_ok and bool(np.all(gate > 0.0) and np.all(gate < 1.0))
-        states = run_graph([a, b], 2, p)
+        states = run_graph([a, b], p)
         shapes_ok = shapes_ok and all(s.shape == (h, w, c) for s in states)
     ok = worst_transpose < 1e-6 and worst_rowsum < 1e-9 and gates_ok and shapes_ok
     report(3, ok, f"transpose dev {worst_transpose:.2e} (<1e-6), row-sum dev "
@@ -174,7 +175,7 @@ def test_criterion_4_permutation_equivariance():
 
     def masks_for(order):
         embeds = encode_frames([frames[i] for i in order], params)
-        finals = run_graph(embeds, 3, params.attention)
+        finals = run_graph(embeds, params.attention)
         return [readout(hf, v, params.readout).data for hf, v in zip(finals, embeds)]
 
     base = masks_for([0, 1, 2, 3])
@@ -203,12 +204,12 @@ def test_criterion_6_iocs_consistency():
     rng = np.random.default_rng(13)
     params = init_model(channels=8, downsample=4, seed=2)
     images = [render_static_scene(32, seed=s)[0] for s in range(3)]
-    got = iocs_infer(images, 0, params, n_prime=3, k_iters=3)
+    got = iocs_infer(images, 0, params, n_prime=3)
     embeds = encode_frames(images, params)
-    finals = run_graph(embeds, 3, params.attention)
+    finals = run_graph(embeds, params.attention)
     want = readout(finals[0], embeds[0], params.readout).data
     bit_identical = got.tobytes() == want.tobytes()
-    repeat = iocs_infer(images, 0, params, n_prime=3, k_iters=3)
+    repeat = iocs_infer(images, 0, params, n_prime=3)
     deterministic = repeat.tobytes() == got.tobytes()
     ok = bit_identical and deterministic
     report(6, ok, f"T=1 equals joint graph: {bit_identical}; repeat identical: {deterministic}")
@@ -255,10 +256,10 @@ def test_criterion_8_metric_values():
 def test_criterion_9_training_efficacy(default_dataset):
     """Training on the default dataset reaches held-out mean J >= 0.70."""
     start = time.time()
-    cfg = TrainConfig(k_iters=3, n_prime=3, iterations=2000, seed=0)
-    result = train(default_dataset, cfg)
+    cfg = TrainConfig(n_prime=3, iterations=2000, seed=0)
+    result = train(default_dataset, cfg, params=init_model(seed=0, graph=GraphConfig(k_iters=3)))
     train_time = time.time() - start
-    rep = evaluate(default_dataset, result.params, split="test", n_prime=5, k_iters=3)
+    rep = evaluate(default_dataset, result.params, split="test", n_prime=5)
     ok = rep.mean_j >= 0.70 and train_time <= 15 * 60
     report(9, ok, f"held-out mean J {rep.mean_j:.3f} (>=0.70), mean F {rep.mean_f:.3f}, "
                   f"{cfg.iterations} iterations in {train_time / 60:.1f} min (<=15)")
@@ -270,11 +271,10 @@ def test_criterion_10_ablation_directions(default_dataset):
     scores = {"k3": [], "k1": [], "ungated": []}
     for seed in (0, 1, 2):
         for label, k, gated in (("k3", 3, True), ("k1", 1, True), ("ungated", 3, False)):
-            cfg = TrainConfig(k_iters=k, n_prime=3, iterations=iterations,
-                              gated=gated, seed=seed)
-            result = train(default_dataset, cfg)
-            rep = evaluate(default_dataset, result.params, split="test",
-                           n_prime=5, k_iters=k, gated=gated)
+            cfg = TrainConfig(n_prime=3, iterations=iterations, seed=seed)
+            graph = GraphConfig(k_iters=k, gated=gated)
+            result = train(default_dataset, cfg, params=init_model(seed=seed, graph=graph))
+            rep = evaluate(default_dataset, result.params, split="test", n_prime=5)
             scores[label].append(rep.mean_j)
     mean = {k: float(np.mean(v)) for k, v in scores.items()}
     ok = mean["k3"] >= mean["k1"] and mean["k3"] >= mean["ungated"]

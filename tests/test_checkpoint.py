@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from agnnseg.checkpoint import read_checkpoint, write_checkpoint
 from agnnseg.errors import FormatError
+from agnnseg.graph import GraphConfig
 from agnnseg.model import CheckpointMismatchError, init_model, load_model, save_model
 
 
@@ -122,15 +123,23 @@ class TestWireFormat:
 
 class TestModelRoundTrip:
     def test_save_load_bit_identical(self, tmp_path):
-        params = init_model(channels=6, downsample=4, seed=9)
+        params = init_model(channels=6, downsample=4, seed=9, graph=GraphConfig(k_iters=2))
         path = tmp_path / "m.agnn"
-        save_model(path, params, k_iters=2)
-        loaded, meta = load_model(path)
-        assert meta["k_iters"] == 2.0
-        assert meta["channels"] == 6.0
+        save_model(path, params)
+        loaded = load_model(path)
+        assert loaded.attention.config == GraphConfig(k_iters=2)
+        assert loaded.channels == 6
         for (name_a, a), (name_b, b) in zip(params.named_tensors(), loaded.named_tensors()):
             assert name_a == name_b
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_ungated_config_round_trips(self, tmp_path):
+        graph = GraphConfig(k_iters=2, gated=False)
+        path = tmp_path / "ungated.agnn"
+        save_model(path, init_model(channels=4, downsample=4, seed=0, graph=graph))
+        assert load_model(path).attention.config == graph
+        assert read_checkpoint(path)[1] == {"channels": 4.0, "downsample": 4.0,
+                                            "k_iters": 2.0, "gated": 0.0}
 
     def test_missing_tensor_rejected(self, tmp_path):
         params = init_model(channels=4, downsample=4, seed=0)
@@ -138,7 +147,7 @@ class TestModelRoundTrip:
         from agnnseg.checkpoint import write_checkpoint as wc
 
         path = tmp_path / "broken.agnn"
-        wc(path, named, meta={"channels": 4, "downsample": 4, "k_iters": 3})
+        wc(path, named, meta={"channels": 4, "downsample": 4, "k_iters": 3, "gated": 1})
         with pytest.raises(CheckpointMismatchError, match="missing tensors"):
             load_model(path)
 
@@ -163,11 +172,18 @@ class TestModelRoundTrip:
         ("k_iters", 2.5),
         ("downsample", float("inf")),
         ("channels", 0),
+        ("gated", None),
+        ("gated", 0.5),
+        ("gated", 2),
     ])
     def test_meta_that_is_not_a_whole_number_from_one_rejected(self, tmp_path, key, value):
+        # meta.gated is 0 or 1; None leaves the record out
         params = init_model(channels=4, downsample=4, seed=0)
-        meta = {"channels": 4, "downsample": 4, "k_iters": 3, key: value}
+        meta = {"channels": 4, "downsample": 4, "k_iters": 3, "gated": 1, key: value}
+        if value is None:
+            del meta[key]
         path = tmp_path / "badmeta.agnn"
         write_checkpoint(path, [(n, t.data) for n, t in params.named_tensors()], meta=meta)
-        with pytest.raises(CheckpointMismatchError, match=f"meta.{key} is {float(value)}"):
+        message = f"missing meta.{key} record" if value is None else f"meta.{key} is {float(value)}"
+        with pytest.raises(CheckpointMismatchError, match=message):
             load_model(path)

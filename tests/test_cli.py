@@ -7,6 +7,7 @@ import pytest
 
 from agnnseg import cli
 from agnnseg.cli import main, parse_config, ConfigError
+from agnnseg.graph import GraphConfig
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.pipeline import TrainResult
 from agnnseg.synthdata import generate_dataset
@@ -25,9 +26,9 @@ SMALL = dict(canvas=32, channels=4, frames_per_video=4, iters=2, seed=1)
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt")
-    params = init_model(channels=4, downsample=4, seed=0)
+    params = init_model(channels=4, downsample=4, seed=0, graph=GraphConfig(k_iters=2))
     path = out / "checkpoint.agnn"
-    save_model(path, params, k_iters=2)
+    save_model(path, params)
     return path
 
 
@@ -38,7 +39,7 @@ def nan_checkpoint(tmp_path_factory):
     named = [(n, t.data) for n, t in init_model(channels=4, downsample=4, seed=0).named_tensors()]
     assert named[0][0] == "encoder.conv1.w"
     named[0] = (named[0][0], np.full(named[0][1].shape, np.nan))
-    write_checkpoint(path, named, meta={"channels": 4, "downsample": 4, "k_iters": 2})
+    write_checkpoint(path, named, meta={"channels": 4, "downsample": 4, "k_iters": 2, "gated": 1})
     return path
 
 
@@ -159,7 +160,7 @@ class TestTrain:
                            n_prime_train=2, k_iters=2)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)]) == 0
-        trained, meta = load_model(out / "checkpoint.agnn")
+        trained = load_model(out / "checkpoint.agnn")
         init = init_model(channels=4, downsample=4, seed=0)
         for (_, a), (_, b) in zip(init.named_tensors(), trained.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes()
@@ -250,7 +251,7 @@ class TestInfer:
 
         seen = []
 
-        def capture(*args, n_prime, k_iters):
+        def capture(*args, n_prime):
             seen.append(n_prime)
             raise Stop
 
@@ -303,7 +304,8 @@ class TestInfer:
         from agnnseg.checkpoint import write_checkpoint
         bad = tmp_path / "nan.agnn"
         write_checkpoint(bad, [(n, t.data) for n, t in params.named_tensors()],
-                         meta={"channels": float("nan"), "downsample": 4, "k_iters": 2})
+                         meta={"channels": float("nan"), "downsample": 4, "k_iters": 2,
+                               "gated": 1})
         video = tiny_dataset / "test" / "video_0000"
         code = main(["infer", "--checkpoint", str(bad), "--video-dir", str(video),
                      "--out", str(tmp_path / "o")])
@@ -324,7 +326,7 @@ class TestInfer:
         from agnnseg.checkpoint import write_checkpoint
         broken = tmp_path / "broken.agnn"
         write_checkpoint(broken, [(n, t.data) for n, t in params.named_tensors()][:3],
-                         meta={"channels": 4, "downsample": 4, "k_iters": 2})
+                         meta={"channels": 4, "downsample": 4, "k_iters": 2, "gated": 1})
         video = tiny_dataset / "test" / "video_0000"
         code = main(["infer", "--checkpoint", str(broken), "--video-dir", str(video),
                      "--out", str(tmp_path / "o")])

@@ -1,5 +1,7 @@
 """Message-passing machinery against naive loop oracles, plus invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from agnnseg import engine
 from agnnseg.engine import Tape, Tensor, backward, grad_check
 from agnnseg.graph import (
     AttentionParams,
+    GraphConfig,
     aggregate_messages,
     convgru_update,
     init_attention_params,
@@ -26,9 +29,14 @@ def t(arr):
 
 
 def random_params(c, rng):
-    p = init_attention_params(c, int(rng.integers(2**31)))
+    p = init_attention_params(c, int(rng.integers(2**31)), GraphConfig())
     p.alpha = Tensor(float(rng.normal()), name="attn.alpha")
     return p
+
+
+def with_k(p, k_iters):
+    """The same tensors, run for ``k_iters`` rounds."""
+    return replace(p, config=GraphConfig(k_iters=k_iters))
 
 
 def random_state(rng, h=2, w=2, c=2):
@@ -38,7 +46,7 @@ def random_state(rng, h=2, w=2, c=2):
 class TestIntraAttention:
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(0)
-        p = init_attention_params(3, 1)  # alpha starts at zero
+        p = init_attention_params(3, 1, GraphConfig())  # alpha starts at zero
         h = random_state(rng, 3, 2, 3)
         out = intra_attention(h, p)
         np.testing.assert_array_equal(out.data, h.data)
@@ -98,7 +106,7 @@ class TestInterAttention:
 class TestLoopMessage:
     def test_composed_with_alpha_zero(self):
         rng = np.random.default_rng(7)
-        p = init_attention_params(2, 3)
+        p = init_attention_params(2, 3, GraphConfig())
         h = random_state(rng)
         np.testing.assert_array_equal(intra_attention(h, p).data, h.data)
 
@@ -144,13 +152,13 @@ class TestNeighborMessage:
 
 class TestMessageGate:
     def test_zero_message_zero_bias_gives_half(self):
-        p = init_attention_params(3, 0)
+        p = init_attention_params(3, 0, GraphConfig())
         g = message_gate(t(np.zeros((2, 2, 3))), p).data
         np.testing.assert_allclose(g, 0.5, atol=1e-15)
 
     def test_large_bias_saturates(self):
         rng = np.random.default_rng(12)
-        p = init_attention_params(2, 1)
+        p = init_attention_params(2, 1, GraphConfig())
         p.gate_b = Tensor(np.full(2, 50.0))
         g = message_gate(random_state(rng), p).data
         np.testing.assert_allclose(g, 1.0, atol=1e-9)
@@ -305,7 +313,7 @@ class TestRounds:
         rng = np.random.default_rng(26)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(2)]
-        got = run_graph(states, 1, p)
+        got = run_graph(states, with_k(p, 1))
         want = propagate_round(states, p)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.data, b.data)
@@ -314,16 +322,14 @@ class TestRounds:
         rng = np.random.default_rng(27)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(3)]
-        got = run_graph(states, 2, p)
+        got = run_graph(states, with_k(p, 2))
         want = reference_round(reference_round(states, p), p)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a.data, b.data, atol=1e-9)
 
     def test_k_below_one_rejected(self):
-        rng = np.random.default_rng(28)
-        p = random_params(2, rng)
         with pytest.raises(ValueError, match="k_iters"):
-            run_graph([random_state(rng)], 0, p)
+            GraphConfig(k_iters=0)
 
     def test_shape_preserved_over_rounds(self):
         rng = np.random.default_rng(29)
@@ -337,15 +343,15 @@ class TestRounds:
         rng = np.random.default_rng(30)
         p = random_params(2, rng)
         with pytest.raises(ValueError, match="node states disagree on shape"):
-            run_graph([random_state(rng, 2, 2, 2), random_state(rng, 3, 3, 2)], 1, p)
+            run_graph([random_state(rng, 2, 2, 2), random_state(rng, 3, 3, 2)], with_k(p, 1))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
         p = random_params(2, rng)
         states = [random_state(rng) for _ in range(4)]
         perm = [2, 0, 3, 1]
-        out = run_graph(states, 2, p)
-        out_perm = run_graph([states[i] for i in perm], 2, p)
+        out = run_graph(states, with_k(p, 2))
+        out_perm = run_graph([states[i] for i in perm], with_k(p, 2))
         for slot, orig in enumerate(perm):
             dev = np.abs(out_perm[slot].data - out[orig].data).max()
             assert dev < 1e-6
@@ -366,9 +372,10 @@ class TestRounds:
         p = random_params(2, rng)
         h0 = random_state(rng)
         h1 = random_state(rng)
+        p2 = with_k(p, 2)
 
         def fn(*tensors):
-            finals = run_graph([h0, h1], 2, p)
+            finals = run_graph([h0, h1], p2)
             total = engine.add(
                 engine.reshape(finals[0], (1, finals[0].size)),
                 engine.reshape(finals[1], (1, finals[1].size)),
@@ -382,20 +389,21 @@ class TestRounds:
 
 
 class TestConfig:
-    """run_graph checks its settings and its node list once, before any round."""
+    """GraphConfig checks K when it is made; run_graph checks its node list
+    once, before any round."""
 
     def test_bad_config_rejected(self):
         rng = np.random.default_rng(34)
         p = random_params(2, rng)
         with pytest.raises(ValueError, match="k_iters must be >= 1, got 0"):
-            run_graph([random_state(rng)], 0, p)
+            GraphConfig(k_iters=0)
         with pytest.raises(ValueError, match="at least one node state"):
-            run_graph([], 1, p)
+            run_graph([], with_k(p, 1))
 
     def test_node_states_must_share_one_grid_shape(self):
         rng = np.random.default_rng(35)
         p = random_params(2, rng)
         with pytest.raises(ValueError, match="disagree"):
-            run_graph([random_state(rng), random_state(rng, 2, 2, 3)], 1, p)
+            run_graph([random_state(rng), random_state(rng, 2, 2, 3)], with_k(p, 1))
         with pytest.raises(ValueError, match=r"\(H, W, C\) grids"):
-            run_graph([t(rng.normal(size=(4, 2)))] * 2, 1, p)
+            run_graph([t(rng.normal(size=(4, 2)))] * 2, with_k(p, 1))

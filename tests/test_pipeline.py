@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agnnseg.pipeline as pl
-from agnnseg import head, model
-from agnnseg.engine import Tape
-from agnnseg.graph import run_graph
+from agnnseg import cli, head, model
+from agnnseg.engine import Tape, Tensor
+from agnnseg.graph import GraphConfig, run_graph
 from agnnseg.head import readout
-from agnnseg.model import encode_frames, init_model
+from agnnseg.model import encode_frames, init_model, load_model, save_model
 from agnnseg.pipeline import (
     SGD,
     InferenceSchedule,
@@ -33,6 +33,7 @@ from agnnseg.synthdata import (
 
 CHANNELS = 6
 CANVAS = 32
+K2 = GraphConfig(k_iters=2)
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +44,13 @@ def dataset(tmp_path_factory):
 
 
 def quick_config(**overrides):
-    base = dict(videos_per_batch=2, n_prime=2, k_iters=2, lr=1e-3, momentum=0.9,
-                iterations=4, seed=0)
+    base = dict(videos_per_batch=2, n_prime=2, lr=1e-3, momentum=0.9, iterations=4, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
 
 def small_model(config, downsample=4):
-    return init_model(channels=CHANNELS, downsample=downsample, seed=config.seed)
+    return init_model(channels=CHANNELS, downsample=downsample, seed=config.seed, graph=K2)
 
 
 class TestSchedule:
@@ -111,12 +111,12 @@ class TestTraining:
         from agnnseg.engine import Tape, backward
 
         for seed in range(5):
-            params = init_model(channels=CHANNELS, downsample=4, seed=seed)
+            params = init_model(channels=CHANNELS, downsample=4, seed=seed, graph=K2)
             with Tape() as tape:
-                loss0 = dynamic_batch_loss(batch, params, cfg)
+                loss0 = dynamic_batch_loss(batch, params)
             grads = backward(tape, np.ones(()))
             SGD(params.named_tensors(), cfg.lr, 0.0).step(grads)
-            loss1 = float(dynamic_batch_loss(batch, params, cfg).data)
+            loss1 = float(dynamic_batch_loss(batch, params).data)
             assert loss1 < float(loss0.data), f"seed {seed}: {loss1} !< {float(loss0.data)}"
 
     def test_clip_frames_are_the_sampled_uint8_frames(self, dataset, monkeypatch):
@@ -128,7 +128,7 @@ class TestTraining:
         class Stop(Exception):
             pass
 
-        def stop(batch, params, config):
+        def stop(batch, params):
             stop.batch = batch
             raise Stop
 
@@ -190,7 +190,7 @@ class TestTraining:
             static.scenes = scenes
             return engine.scalar_scale(params.attention.alpha, 1.0)
 
-        def stop(batch, params, config):
+        def stop(batch, params):
             stop.batch = batch
             raise Stop
 
@@ -209,10 +209,10 @@ class TestTraining:
 
 class TestInferVideo:
     def test_one_mask_per_frame_in_order(self, dataset):
-        params = init_model(channels=CHANNELS, downsample=4, seed=0)
+        params = init_model(channels=CHANNELS, downsample=4, seed=0, graph=K2)
         entry = dataset.split("test")[0]
         frames, _ = load_video(dataset, entry)
-        probs = infer_video(list(frames), params, n_prime=4, k_iters=2)
+        probs = infer_video(list(frames), params, n_prime=4)
         assert len(probs) == len(frames)
         for p in probs:
             assert p.shape == (CANVAS // 4, CANVAS // 4)
@@ -224,10 +224,10 @@ class TestInferVideo:
             infer_video([], params)
 
     def test_deterministic(self, dataset):
-        params = init_model(channels=CHANNELS, downsample=4, seed=1)
+        params = init_model(channels=CHANNELS, downsample=4, seed=1, graph=K2)
         frames, _ = load_video(dataset, dataset.split("test")[0])
-        a = infer_video(list(frames), params, n_prime=3, k_iters=2)
-        b = infer_video(list(frames), params, n_prime=3, k_iters=2)
+        a = infer_video(list(frames), params, n_prime=3)
+        b = infer_video(list(frames), params, n_prime=3)
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
 
@@ -249,7 +249,7 @@ def coseg_stubs(monkeypatch):
         stubs.encoded.append(frame)
         return real_encode(frame, params)
 
-    def graph(nodes, k_iters, params, gated):
+    def graph(nodes, params):
         stubs.graphs.append(nodes)
         return nodes
 
@@ -262,18 +262,18 @@ def coseg_stubs(monkeypatch):
 
 class TestIocs:
     def test_single_image_self_loop_only(self, dataset):
-        params = init_model(channels=CHANNELS, downsample=4, seed=0)
+        params = init_model(channels=CHANNELS, downsample=4, seed=0, graph=K2)
         frames, _ = load_video(dataset, dataset.split("coseg")[0])
-        prob = iocs_infer([frames[0]], 0, params, n_prime=3, k_iters=2)
+        prob = iocs_infer([frames[0]], 0, params, n_prime=3)
         assert prob.shape == (CANVAS // 4, CANVAS // 4)
 
     def test_single_group_matches_joint_inference(self, dataset):
         # T = 1: chaining degenerates to one joint graph run
-        params = init_model(channels=CHANNELS, downsample=4, seed=2)
+        params = init_model(channels=CHANNELS, downsample=4, seed=2, graph=K2)
         images = [load_video(dataset, e)[0][0] for e in dataset.split("coseg")[:3]]
-        got = iocs_infer(images, 1, params, n_prime=3, k_iters=2)
+        got = iocs_infer(images, 1, params, n_prime=3)
         embeddings = encode_frames([images[1], images[0], images[2]], params)
-        finals = run_graph(embeddings, 2, params.attention)
+        finals = run_graph(embeddings, params.attention)
         want = readout(finals[0], embeddings[0], params.readout).data
         assert got.tobytes() == want.tobytes()
 
@@ -285,13 +285,13 @@ class TestIocs:
         assert _near_equal_chunks(list(range(5)), 2) == [[0, 1], [2, 3], [4]]
 
     def test_repeat_runs_identical(self, dataset):
-        params = init_model(channels=CHANNELS, downsample=4, seed=3)
+        params = init_model(channels=CHANNELS, downsample=4, seed=3, graph=K2)
         images = [load_video(dataset, e)[0][0] for e in dataset.split("coseg")[:5]]
-        a = iocs_infer(images, 2, params, n_prime=3, k_iters=2)
-        b = iocs_infer(images, 2, params, n_prime=3, k_iters=2)  # reuses a's embeddings
+        a = iocs_infer(images, 2, params, n_prime=3)
+        b = iocs_infer(images, 2, params, n_prime=3)  # reuses a's embeddings
         # equal values in new arrays: every image is encoded afresh
-        c = iocs_infer(images, 2, init_model(channels=CHANNELS, downsample=4, seed=3),
-                       n_prime=3, k_iters=2)
+        c = iocs_infer(images, 2, init_model(channels=CHANNELS, downsample=4, seed=3, graph=K2),
+                       n_prime=3)
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_group_is_encoded_once_across_targets(self, coseg_stubs):
@@ -350,10 +350,49 @@ class TestIocs:
             iocs_infer([frames[0]], 5, params)
 
 
+class TestLoadedGraphConfig:
+    """K and the gating of a loaded checkpoint reach every graph it runs."""
+
+    @pytest.mark.parametrize("caller", ["evaluate", "infer_video", "iocs_infer",
+                                        "cli infer video", "cli infer coseg", "cli eval"])
+    def test_loaded_k2_ungated_reaches_run_graph(self, dataset, tmp_path, monkeypatch, caller):
+        graph = GraphConfig(k_iters=2, gated=False)
+        checkpoint = tmp_path / "k2_ungated.agnn"
+        save_model(checkpoint, init_model(channels=CHANNELS, downsample=4, seed=5, graph=graph))
+        seen = []
+
+        def run(nodes, params):  # no round and no readout, so no reshape runs
+            seen.append(params.config)
+            return nodes
+
+        monkeypatch.setattr(pl, "_last_group", None)
+        monkeypatch.setattr(pl, "run_graph", run)
+        monkeypatch.setattr(model, "run_graph", run)
+        monkeypatch.setattr(head, "readout", lambda h, v, params: Tensor(np.zeros(h.shape[:2])))
+        entry = dataset.split("test")[0]
+        video = dataset.video_dir(entry)
+        frames = list(load_video(dataset, entry)[0])
+        if caller.startswith("cli"):
+            _, command, *task = caller.split()
+            argv = [command, "--checkpoint", str(checkpoint)]
+            if command == "eval":
+                argv += ["--data", str(dataset.root)]
+            else:
+                argv += ["--video-dir", str(video), "--out", str(tmp_path / "o"), "--task", *task]
+            assert cli.main(argv) == 0
+        else:
+            params = load_model(checkpoint)
+            call = {"evaluate": lambda: pl.evaluate(dataset, params, split="test"),
+                    "infer_video": lambda: pl.infer_video(frames, params),
+                    "iocs_infer": lambda: pl.iocs_infer(frames, 0, params)}
+            call[caller]()
+        assert seen and set(seen) == {graph}
+
+
 class TestEvaluate:
     def test_untrained_model_produces_bounded_report(self, dataset):
-        params = init_model(channels=CHANNELS, downsample=4, seed=0)
-        report = evaluate(dataset, params, split="test", n_prime=3, k_iters=2)
+        params = init_model(channels=CHANNELS, downsample=4, seed=0, graph=K2)
+        report = evaluate(dataset, params, split="test", n_prime=3)
         assert len(report.rows) == 2
         for _, j, f in report.rows:
             assert 0.0 <= j <= 1.0 and 0.0 <= f <= 1.0
