@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import GradientMap, NonFiniteError, Tensor, active_tape
+from .tensor import GradientMap, NonFiniteError, Tensor, _finite_tensor, active_tape
 
 SUPPORTED_KERNEL_SIZES = (1, 3)
 SUPPORTED_STRIDES = (1, 2, 4)
@@ -26,14 +26,19 @@ LOG_CLAMP = 1e-12  # weighted_bce clips predictions to [LOG_CLAMP, 1 - LOG_CLAMP
 class OpDef(NamedTuple):
     forward: Callable  # (arrays, attrs) -> (out_array, saved)
     vjp: Callable      # (grad_out, saved, attrs) -> tuple of input grads
+    keeps_finite: bool  # finite inputs always give a finite output: no scan
 
 
 _OPS: dict[str, OpDef] = {}
 
 
-def _register(kind):
+def _register(kind, keeps_finite=False):
+    """Register a (forward, vjp) pair.  ``keeps_finite=True`` is a promise,
+    argued beside the registration, that no finite input can make the forward
+    return NaN or Inf; ``apply`` then leaves its output unscanned."""
+
     def wrap(pair):
-        _OPS[kind] = OpDef(*pair)
+        _OPS[kind] = OpDef(*pair, keeps_finite)
         return pair
 
     return wrap
@@ -169,7 +174,7 @@ def _transpose_vjp(g, saved, attrs):
     return (np.ascontiguousarray(g.T),)
 
 
-_register("transpose")((_transpose_forward, _transpose_vjp))
+_register("transpose", keeps_finite=True)((_transpose_forward, _transpose_vjp))
 
 
 def _row_softmax_forward(arrays, attrs):
@@ -187,7 +192,9 @@ def _row_softmax_vjp(g, saved, attrs):
     return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
 
-_register("row_softmax")((_row_softmax_forward, _row_softmax_vjp))
+# the shift is <= 0 (at worst -inf, whose exp is 0) and each row keeps a 1,
+# so every output lies in [0, 1]
+_register("row_softmax", keeps_finite=True)((_row_softmax_forward, _row_softmax_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,8 @@ def _sigmoid_forward(arrays, attrs):
     (x,) = arrays
     # exp(-|x|) never overflows; branch picks the numerically stable form
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    d = 1.0 + z
+    out = np.where(x >= 0, 1.0 / d, z / d)
     return out, {"out": out}
 
 
@@ -207,7 +215,8 @@ def _sigmoid_vjp(g, saved, attrs):
     return (g * y * (1.0 - y),)
 
 
-_register("sigmoid")((_sigmoid_forward, _sigmoid_vjp))
+# z in [0, 1], so both branches lie in [0, 1]
+_register("sigmoid", keeps_finite=True)((_sigmoid_forward, _sigmoid_vjp))
 
 
 def _tanh_forward(arrays, attrs):
@@ -221,7 +230,7 @@ def _tanh_vjp(g, saved, attrs):
     return (g * (1.0 - y * y),)
 
 
-_register("tanh")((_tanh_forward, _tanh_vjp))
+_register("tanh", keeps_finite=True)((_tanh_forward, _tanh_vjp))
 
 
 def _relu_forward(arrays, attrs):
@@ -233,7 +242,7 @@ def _relu_vjp(g, saved, attrs):
     return (g * saved["mask"],)
 
 
-_register("relu")((_relu_forward, _relu_vjp))
+_register("relu", keeps_finite=True)((_relu_forward, _relu_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,7 @@ def _concat_vjp(g, saved, attrs):
     return g[:, :, :s], g[:, :, s:]
 
 
-_register("concat_channels")((_concat_forward, _concat_vjp))
+_register("concat_channels", keeps_finite=True)((_concat_forward, _concat_vjp))
 
 
 def _scalar_scale_forward(arrays, attrs):
@@ -358,7 +367,7 @@ def _reshape_vjp(g, saved, attrs):
     return (g.reshape(saved["orig"]),)
 
 
-_register("reshape")((_reshape_forward, _reshape_vjp))
+_register("reshape", keeps_finite=True)((_reshape_forward, _reshape_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +393,11 @@ def _weighted_bce_vjp(g, saved, attrs):
     return (g * grad * saved["inside"],)
 
 
-_register("weighted_bce")((_weighted_bce_forward, _weighted_bce_vjp))
+# the clip keeps log(p) and log1p(-p) at or above log(LOG_CLAMP) ~ -27.6, so
+# with eta in [0, 1] and a binary target each term is at most 27.6 in size
+# and the sum of n terms at most 27.6 n, finite for any array that fits in
+# memory
+_register("weighted_bce", keeps_finite=True)((_weighted_bce_forward, _weighted_bce_vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +410,11 @@ def apply(kind, inputs, attrs=None):
     ``inputs`` is a list of tensors, ``attrs`` a dict of non-differentiable
     attributes.  Rejects unknown kinds, non-tensor inputs and incompatible
     shapes.  Inputs are not scanned for NaN or Inf: every tensor was checked
-    when its value was created or assigned, and the output is checked when
-    it becomes a tensor (a NaN or Inf there raises an error naming ``kind``).
+    when its value was created or assigned.  The output is scanned only where
+    the op can create a NaN or Inf from finite inputs, and a NaN or Inf there
+    raises ``NonFiniteError("<kind> output contains NaN or Inf")``.  A kind
+    registered with ``keeps_finite=True`` cannot, so its output becomes a
+    tensor without the scan.
     """
     op = _OPS.get(kind)
     if op is None:
@@ -410,10 +426,13 @@ def apply(kind, inputs, attrs=None):
             raise TypeError(f"{kind} input must be a Tensor, got {type(t).__name__}")
         arrays.append(t.data)
     out_arr, saved = op.forward(arrays, attrs)
-    try:
-        out = Tensor(out_arr)
-    except NonFiniteError:
-        raise NonFiniteError(f"{kind} output contains NaN or Inf") from None
+    if op.keeps_finite:
+        out = _finite_tensor(out_arr)
+    else:
+        try:
+            out = Tensor(out_arr)
+        except NonFiniteError:
+            raise NonFiniteError(f"{kind} output contains NaN or Inf") from None
     tape = active_tape()
     if tape is not None:
         tape.record(kind, inputs, out, attrs, saved)

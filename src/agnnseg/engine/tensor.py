@@ -4,9 +4,12 @@ Every numeric quantity in the model is a :class:`Tensor` wrapping a dense
 float64 numpy array (row-major, rank <= 4, finite values).  A value is
 checked once, when it is created or assigned to ``Tensor.data``; ops read
 their inputs unchecked, so writing into a tensor's array in place falls
-outside the contract.  Operations applied while a :class:`Tape` is active
-are recorded in topological order, so a single reverse sweep over the
-records yields exact gradients for everything on the tape.
+outside the contract.  The NaN/Inf scan is skipped in one place only: the
+output of an op kind that always maps finite inputs to finite outputs is
+wrapped by :func:`_finite_tensor`, which keeps every other check.
+Operations applied while a :class:`Tape` is active are recorded in
+topological order, so a single reverse sweep over the records yields exact
+gradients for everything on the tape.
 """
 
 from __future__ import annotations
@@ -26,10 +29,26 @@ class NonFiniteError(ValueError):
 
 
 def all_finite(arr):
-    """True when no element is NaN or Inf; one sum decides the common case."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # NaN and Inf propagate into the sum, but finite values can overflow it
-        return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
+    """True when no element is NaN or Inf: one ``np.isfinite`` pass.
+
+    This is the scan behind the rule that no tensor holds NaN or Inf.  It
+    runs on every value given to :class:`Tensor` and on every op output
+    except those of kinds that cannot create a NaN or Inf from finite inputs.
+    """
+    return bool(np.isfinite(arr).all())
+
+
+def _as_tensor_array(value):
+    """``value`` as a float64 array of rank <= 4 with positive dims; no scan."""
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        arr = value
+    else:
+        arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim > 4:
+        raise ValueError(f"tensor rank {arr.ndim} exceeds 4 (shape {arr.shape})")
+    if 0 in arr.shape:
+        raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
+    return arr
 
 
 def _tape_stack():
@@ -61,12 +80,14 @@ class Tensor:
     """A dense value with an identity, usable as a leaf or an op output.
 
     Every value given to the constructor or assigned to ``data`` becomes a
-    float64 array and is checked there: rank <= 4, positive dims, finite.
-    The array is treated as immutable while any tape that references the
-    tensor is still in use; an in-place write is neither checked nor
-    recorded.  ``name`` is optional and only meaningful for learnable
-    parameters (checkpointing, gradient reports); a non-finite value is
-    reported under the name, or else the id.
+    float64 array and is checked there: rank <= 4, positive dims, finite
+    (:func:`all_finite`).  Only :func:`_finite_tensor`, for the outputs of
+    op kinds that keep finite inputs finite, leaves out the finiteness scan;
+    no public argument or setting does.  The array is treated as immutable
+    while any tape that references the tensor is still in use; an in-place
+    write is neither checked nor recorded.  ``name`` is optional and only
+    meaningful for learnable parameters (checkpointing, gradient reports); a
+    non-finite value is reported under the name, or else the id.
     """
 
     __slots__ = ("_data", "id", "name")
@@ -82,14 +103,7 @@ class Tensor:
 
     @data.setter
     def data(self, value):
-        if type(value) is np.ndarray and value.dtype == np.float64:
-            arr = value
-        else:
-            arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim > 4:
-            raise ValueError(f"tensor rank {arr.ndim} exceeds 4 (shape {arr.shape})")
-        if 0 in arr.shape:
-            raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
+        arr = _as_tensor_array(value)
         if not all_finite(arr):
             raise NonFiniteError(f"tensor {self.name or self.id} contains NaN or Inf")
         self._data = arr
@@ -105,6 +119,20 @@ class Tensor:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor(id={self.id}{label}, shape={self.data.shape})"
+
+
+def _finite_tensor(arr):
+    """An unnamed tensor for an op output that is finite by construction.
+
+    Keeps the float64, rank and positive-dims checks and skips only the
+    NaN/Inf scan.  ``engine.ops.apply`` calls it for the op kinds registered
+    as keeping finite inputs finite; no other caller may.
+    """
+    out = Tensor.__new__(Tensor)
+    out.id = next(_id_counter)
+    out.name = None
+    out._data = _as_tensor_array(arr)
+    return out
 
 
 @dataclass

