@@ -63,16 +63,22 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
     """Patch matrix ``(h_out*w_out, kh*kw*c_in)`` of the zero-padded input.
 
     Row ``oy*w_out + ox`` is the window at ``(oy*stride, ox*stride)`` in
-    ``(ky, kx, c)`` order.  A 1x1 stride-1 kernel just reshapes ``x``; any
-    other reads one read-only strided view of the padded input, and a single
-    copy makes it the contiguous matrix.
+    ``(ky, kx, c)`` order.  A 1x1 stride-1 kernel just reshapes ``x``.  Any
+    other kernel puts the input in one uninitialised padded buffer whose
+    border alone is zeroed, and copies every window once, from a single
+    read-only strided view, into the contiguous matrix.  The forward and the
+    VJP both call it on the same ``x``, so they see the same bytes.
     """
     h, w, c_in = x.shape
     if kh == kw == 1 and stride == 1:
         return x.reshape(h * w, c_in)
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     if ph or pw:
-        xpad = np.zeros((h + 2 * ph, w + 2 * pw, c_in), dtype=x.dtype)
+        xpad = np.empty((h + 2 * ph, w + 2 * pw, c_in), dtype=x.dtype)
+        xpad[:ph] = 0.0
+        xpad[ph + h :] = 0.0
+        xpad[ph : ph + h, :pw] = 0.0
+        xpad[ph : ph + h, pw + w :] = 0.0
         xpad[ph : ph + h, pw : pw + w] = x
         x = xpad
     sy, sx, sc = x.strides
@@ -84,9 +90,37 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
     return np.ascontiguousarray(windows).reshape(h_out * w_out, kh * kw * c_in)
 
 
+def _col2im(gcol, x_shape, kh, kw, stride, h_out, w_out):
+    """Adjoint of :func:`_im2col`: sum each patch-matrix row back onto the
+    input pixels its window read, dropping what fell on the padding.
+
+    A 1x1 stride-1 kernel just reshapes ``gcol``, as ``_im2col`` does.
+    """
+    h, w, c_in = x_shape
+    if kh == kw == 1 and stride == 1:
+        return gcol.reshape(h, w, c_in)
+    gcol = gcol.reshape(h_out, w_out, kh, kw, c_in)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    gxpad = np.zeros((h + 2 * ph, w + 2 * pw, c_in), dtype=gcol.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            gxpad[
+                ky : ky + stride * h_out : stride,
+                kx : kx + stride * w_out : stride,
+                :,
+            ] += gcol[:, :, ky, kx, :]
+    return gxpad[ph : ph + h, pw : pw + w, :]
+
+
 def _conv2d_forward(arrays, attrs):
     """Convolution padded by ``(k - 1) // 2`` per side, so stride ``s`` keeps
-    ``ceil(n / s)`` positions: one GEMM over the patch matrix, saved for the VJP."""
+    ``ceil(n / s)`` positions: one GEMM over the patch matrix of ``x``.
+
+    The input ``x``, not its patch matrix, is saved for the VJP, which
+    rebuilds the matrix: at stride 1 or 2 a 3x3 patch matrix holds 9 or about
+    2.25 times as many values as ``x``, and under a tape ``x`` is usually the
+    array the previous relu saved already.
+    """
     x = arrays[0]
     w = arrays[1]
     bias = arrays[2] if len(arrays) == 3 else None
@@ -113,29 +147,21 @@ def _conv2d_forward(arrays, attrs):
     out = colmat @ w.reshape(kh * kw * c_in, c_out)
     if bias is not None:
         out += bias  # in place on the fresh GEMM output: same ufunc, same bits
-    saved = {"colmat": colmat, "w": w, "x_shape": x.shape, "has_bias": bias is not None}
+    saved = {"x": x, "w": w, "has_bias": bias is not None}
     return out.reshape(h_out, w_out, c_out), saved
 
 
 def _conv2d_vjp(g, saved, attrs):
+    """Rebuilds the forward's patch matrix from the saved ``x`` for ``gw``
+    (same bytes, so the same ``gw``) and scatters ``gx`` with ``_col2im``."""
     stride = int(attrs.get("stride", 1))
-    w = saved["w"]
+    x, w = saved["x"], saved["w"]
     kh, kw, c_in, c_out = w.shape
-    h_in, w_in, _ = saved["x_shape"]
     h_out, w_out, _ = g.shape
     gmat = g.reshape(h_out * w_out, c_out)
-    gw = (saved["colmat"].T @ gmat).reshape(w.shape)
-    gcol = (gmat @ w.reshape(kh * kw * c_in, c_out).T).reshape(h_out, w_out, kh, kw, c_in)
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    gxpad = np.zeros((h_in + 2 * ph, w_in + 2 * pw, c_in), dtype=g.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            gxpad[
-                ky : ky + stride * h_out : stride,
-                kx : kx + stride * w_out : stride,
-                :,
-            ] += gcol[:, :, ky, kx, :]
-    gx = gxpad[ph : ph + h_in, pw : pw + w_in, :]
+    gw = (_im2col(x, kh, kw, stride, h_out, w_out).T @ gmat).reshape(w.shape)
+    gcol = gmat @ w.reshape(kh * kw * c_in, c_out).T
+    gx = _col2im(gcol, x.shape, kh, kw, stride, h_out, w_out)
     if saved["has_bias"]:
         return gx, gw, gmat.sum(axis=0)
     return gx, gw
@@ -235,11 +261,13 @@ _register("tanh", keeps_finite=True)((_tanh_forward, _tanh_vjp))
 
 def _relu_forward(arrays, attrs):
     (x,) = arrays
-    return np.maximum(x, 0.0), {"mask": x > 0}
+    out = np.maximum(x, 0.0)
+    return out, {"out": out}
 
 
 def _relu_vjp(g, saved, attrs):
-    return (g * saved["mask"],)
+    # out > 0 exactly where x > 0, and out is the array the next conv saves
+    return (g * (saved["out"] > 0),)
 
 
 _register("relu", keeps_finite=True)((_relu_forward, _relu_vjp))

@@ -4,9 +4,12 @@ Every numeric quantity in the model is a :class:`Tensor` wrapping a dense
 float64 numpy array (row-major, rank <= 4, finite values).  A value is
 checked once, when it is created or assigned to ``Tensor.data``; ops read
 their inputs unchecked, so writing into a tensor's array in place falls
-outside the contract.  The NaN/Inf scan is skipped in one place only: the
-output of an op kind that always maps finite inputs to finite outputs is
-wrapped by :func:`_finite_tensor`, which keeps every other check.
+outside the contract.  While a tape is in use such a write would also change
+its gradients: a conv keeps its input array, not a patch matrix copied from
+it, and rebuilds the matrix in its VJP.  The NaN/Inf scan is skipped in one
+place only: the output of an op kind that always maps finite inputs to
+finite outputs is wrapped by :func:`_finite_tensor`, which keeps every other
+check.
 Operations applied while a :class:`Tape` is active are recorded in
 topological order, so a single reverse sweep over the records yields exact
 gradients for everything on the tape.
@@ -84,10 +87,12 @@ class Tensor:
     (:func:`all_finite`).  Only :func:`_finite_tensor`, for the outputs of
     op kinds that keep finite inputs finite, leaves out the finiteness scan;
     no public argument or setting does.  The array is treated as immutable
-    while any tape that references the tensor is still in use; an in-place
-    write is neither checked nor recorded.  ``name`` is optional and only
-    meaningful for learnable parameters (checkpointing, gradient reports); a
-    non-finite value is reported under the name, or else the id.
+    while any tape that references the tensor is still in use, since the tape
+    keeps op inputs by reference (a conv's VJP rebuilds its patch matrix from
+    the input); an in-place write is neither checked nor recorded.  ``name``
+    is optional and only meaningful for learnable parameters (checkpointing,
+    gradient reports); a non-finite value is reported under the name, or else
+    the id.
     """
 
     __slots__ = ("_data", "id", "name")

@@ -5,7 +5,8 @@ no code path with the engine kernels it is used to validate.  Slow on
 purpose; only run on tiny shapes.  ``tree_hash`` digests a directory tree's
 relative paths and bytes, for byte-identity checks on written files.  The
 scene rasterizers and the background gradient are index-grid (``np.mgrid``)
-references for the broadcast versions in ``agnnseg.synthdata``.
+references for the broadcast versions in ``agnnseg.synthdata``, and
+``im2col_loops`` pads with ``np.pad`` before its window loop.
 """
 
 import hashlib
@@ -98,6 +99,23 @@ def conv2d_loops(x, w, bias=None, stride=1):
                                 acc += x[iy, ix, ci] * w[ky, kx, ci, co]
                 out[oy, ox, co] = acc
     return out
+
+
+def im2col_loops(x, kh, kw, stride):
+    """Patch matrix of ``x`` padded by ``(k - 1) // 2`` zeros per axis: one
+    row per output position, row-major, each window in ``(ky, kx, c)`` order."""
+    h, w, _ = x.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xpad = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    rows = []
+    for oy in range(0, h, stride):
+        for ox in range(0, w, stride):
+            window = []
+            for ky in range(kh):
+                for kx in range(kw):
+                    window.extend(xpad[oy + ky, ox + kx])
+            rows.append(window)
+    return np.array(rows, dtype=x.dtype)
 
 
 def chebyshev_dilate_loops(mask, radius):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from agnnseg import engine
 from agnnseg.encoder import EncoderConfig, encode, init_encoder, output_grid_shape
 from agnnseg.engine import Tape, Tensor, backward
 from agnnseg.engine import ops as ops_mod, tensor as tensor_mod
@@ -124,12 +125,30 @@ class TestEncode:
         assert len(tape.records) == 7
         assert len(scans) == 1 + conv_records == 5
 
+    def test_tape_saves_inputs_not_patch_matrices(self, monkeypatch):
+        # each conv keeps its input for backward and rebuilds its patch
+        # matrix there; each relu keeps its output, the array the next conv
+        # keeps as its input, so one 64x64 encode saves no ~1.4 MB of patches
+        params = init_encoder(EncoderConfig(channels=32, downsample=4), 0)
+        frame = Tensor(np.random.default_rng(4).uniform(size=(64, 64, 3)))
+        relu_outs = []
+        real_relu = engine.relu
+        monkeypatch.setattr(engine, "relu", lambda x: relu_outs.append(real_relu(x)) or relu_outs[-1])
+        with Tape() as tape:
+            encode(frame, params)
+        saved = {id(v): v for rec in tape.records for v in rec.saved.values()
+                 if isinstance(v, np.ndarray)}
+        # the VJPs need the conv kernels, not the biases
+        kernels = [p.data for _, p in params.named() if p.data.ndim == 4]
+        want = [frame.data] + [r.data for r in relu_outs] + kernels
+        assert len(relu_outs) == 3 and len(kernels) == 4
+        assert saved.keys() == {id(a) for a in want}
+
     def test_gradients_flow_to_all_encoder_parameters(self):
         params = init_encoder(EncoderConfig(channels=3, downsample=4), 1)
         frame = Tensor(np.random.default_rng(2).uniform(size=(8, 8, 3)))
         with Tape() as tape:
             out = encode(frame, params)
-            from agnnseg import engine
             flat = engine.reshape(out, (1, out.size))
             ones = Tensor(np.ones((out.size, 1)))
             engine.reshape(engine.matmul(flat, ones), ())

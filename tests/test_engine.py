@@ -1,10 +1,11 @@
 """Forward contracts, backward correctness, and tape behaviour of the engine."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agnnseg import engine
@@ -337,6 +338,12 @@ def conv_cases(draw):
     return x, kernel, bias, stride
 
 
+# 1x1 stride-1 kernels, which skip the padded buffer in both directions; the
+# second example passes the same values as a non-contiguous view
+_X11 = np.random.default_rng(21).normal(size=(5, 3, 4))
+_W11 = np.random.default_rng(22).normal(size=(1, 1, 4, 2))
+
+
 class TestConvProperties:
     @settings(max_examples=150, deadline=None)
     @given(conv_cases())
@@ -348,6 +355,8 @@ class TestConvProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(conv_cases())
+    @example((_X11, _W11, None, 1))
+    @example((_X11.transpose(1, 0, 2).copy().transpose(1, 0, 2), _W11, None, 1))
     def test_vjp_is_the_adjoint(self, case):
         # conv is bilinear: <g, conv(x, w)> = <g_x, x> = <g_w, w>
         x, w, _, stride = case
@@ -361,6 +370,69 @@ class TestConvProperties:
         forward = np.sum(g * y)
         for grad, arg in ((grads[xt], x), (grads[wt], w)):
             assert abs(np.sum(grad * arg) - forward) <= 1e-10 * scale
+
+
+@st.composite
+def im2col_cases(draw):
+    kh, kw = draw(st.sampled_from(((1, 1), (1, 3), (3, 1), (3, 3))))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    c_in = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.normal(size=(h, w, c_in))
+    else:
+        x = rng.normal(size=(w, h, c_in)).transpose(1, 0, 2)  # non-contiguous view
+    return x, kh, kw, stride
+
+
+def _im2col(x, kh, kw, stride):
+    h_out, w_out = (x.shape[0] - 1) // stride + 1, (x.shape[1] - 1) // stride + 1
+    return ops_mod._im2col(x, kh, kw, stride, h_out, w_out)
+
+
+class TestIm2col:
+    @settings(max_examples=200, deadline=None)
+    @given(im2col_cases())
+    def test_matches_the_padded_window_loop_byte_for_byte(self, case):
+        x, kh, kw, stride = case
+        got = _im2col(x, kh, kw, stride)
+        want = oracles.im2col_loops(x, kh, kw, stride)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_one_pixel_wide_inputs(self):
+        # a reshape of the window view would overlap here; the copy may not
+        rng = np.random.default_rng(23)
+        for (kh, kw), stride, (h, w), transposed in itertools.product(
+                ((1, 1), (1, 3), (3, 1), (3, 3)), (1, 2, 4),
+                ((1, 1), (1, 7), (7, 1), (2, 1), (1, 32), (32, 1)), (False, True)):
+            x = rng.normal(size=(w, h, 3)).transpose(1, 0, 2) if transposed else rng.normal(size=(h, w, 3))
+            got = _im2col(x, kh, kw, stride)
+            assert got.tobytes() == oracles.im2col_loops(x, kh, kw, stride).tobytes()
+            assert got.flags.c_contiguous
+
+
+class TestReluVjp:
+    # relu saves its output; out > 0 exactly where x > 0, zeros of either
+    # sign and subnormals included
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_output_mask_equals_input_mask(self, data):
+        n = data.draw(st.integers(1, 12))
+        x = np.array(data.draw(st.lists(finite_floats, min_size=n, max_size=n)))
+        g = np.array(data.draw(st.lists(finite_floats, min_size=n, max_size=n)))
+        xt = t(x)
+        with Tape() as tape:
+            apply("relu", [xt])
+        assert backward(tape, g)[xt].tobytes() == (g * (x > 0)).tobytes()
+
+    def test_at_the_extremes(self):
+        x = np.array(EXTREMES)
+        for g in (np.array(EXTREMES), -np.array(EXTREMES)[::-1], np.full(len(EXTREMES), -1.0)):
+            out, saved = ops_mod._relu_forward([x], {})
+            (gx,) = ops_mod._relu_vjp(g, saved, {})
+            assert gx.tobytes() == (g * (x > 0)).tobytes()
 
 
 class TestBackwardTrivial:
