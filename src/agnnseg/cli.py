@@ -125,9 +125,15 @@ def cmd_train(args):
     graph = _build(args.config, GraphConfig, cfg)
     manifest = load_manifest(args.data)
     params = init_model(encoder.channels, encoder.downsample, seed=train_cfg.seed, graph=graph)
-    result = train(manifest, train_cfg, params=params)
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        result = train(manifest, train_cfg, params)
+    except BaseException:
+        if made:  # a run that does not finish leaves no output directory
+            out.rmdir()
+        raise
     save_model(out / "checkpoint.agnn", result.params)
     with open(out / "loss.csv", "w") as f:
         for i, value in enumerate(result.losses):

@@ -1,6 +1,7 @@
-"""Training hyperparameters: batch, training N', SGD and seed.  The model's
-own settings live beside its code: ``EncoderConfig`` in ``encoder`` and
-``GraphConfig`` (K and the gating) in ``graph``."""
+"""Training hyperparameters: training N', SGD and seed.  The model's own
+settings live beside its code: ``EncoderConfig`` in ``encoder`` and
+``GraphConfig`` (K and the gating) in ``graph``.  The number of videos per
+dynamic batch is the constant ``pipeline.VIDEOS_PER_BATCH``."""
 
 from dataclasses import dataclass
 
@@ -9,7 +10,6 @@ from .errors import FieldError
 
 @dataclass(frozen=True)
 class TrainConfig:
-    videos_per_batch: int = 2
     n_prime: int = 3
     lr: float = 1e-3
     momentum: float = 0.9
@@ -17,7 +17,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("videos_per_batch", "n_prime", "iterations"):
+        for name in ("n_prime", "iterations"):
             value = getattr(self, name)
             if value < 1:
                 raise FieldError(name, f"must be >= 1, got {value}")

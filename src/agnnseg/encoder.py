@@ -74,15 +74,6 @@ def init_encoder(config: EncoderConfig, seed: int) -> EncoderParams:
     )
 
 
-def output_grid_shape(height, width, config: EncoderConfig):
-    """Spatial grid produced for a given input size: ceil division per stride."""
-    h, w = height, width
-    for s in config.strides:
-        h = -(-h // s)
-        w = -(-w // s)
-    return h, w, config.channels
-
-
 def encode(frame, params: EncoderParams) -> Tensor:
     """Embed one frame into a (H/d, W/d, C) grid.
 

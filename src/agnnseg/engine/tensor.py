@@ -117,10 +117,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor(id={self.id}{label}, shape={self.data.shape})"
@@ -183,11 +179,6 @@ class Tape:
             TapeRecord(kind, tuple(t.id for t in inputs), output.id, output.shape, attrs, saved)
         )
         self._produced.add(output.id)
-
-    def output_id(self):
-        if not self.records:
-            raise ValueError("tape is empty")
-        return self.records[-1].output_id
 
 
 def tensor_fields(obj):

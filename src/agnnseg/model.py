@@ -118,7 +118,8 @@ def load_model(path):
     """Rebuild ModelParameters, K and the gating from a checkpoint.
 
     meta.gated must be 0 or 1, every other meta value a finite whole number
-    of at least 1, and every tensor finite.
+    of at least 1, and every tensor finite.  meta.channels must match the
+    stored (1, 1, C, C) encoder.proj.w before a model that wide is built.
     """
     tensors, meta = ckpt.read_checkpoint(path)
     for key in ("channels", "downsample", "k_iters", "gated"):
@@ -131,9 +132,16 @@ def load_model(path):
             )
     if meta["gated"] not in (0.0, 1.0):
         raise CheckpointMismatchError(f"{path}: meta.gated is {meta['gated']}, expected 0 or 1")
+    channels = int(meta["channels"])
+    proj = tensors.get("encoder.proj.w")
+    if proj is None or proj.shape != (1, 1, channels, channels):
+        stored = "missing" if proj is None else f"of shape {proj.shape}"
+        raise CheckpointMismatchError(
+            f"{path}: meta.channels is {channels}, but tensor encoder.proj.w is {stored}"
+        )
     graph = GraphConfig(k_iters=int(meta["k_iters"]), gated=meta["gated"] == 1.0)
     try:
-        params = init_model(int(meta["channels"]), int(meta["downsample"]), graph=graph)
+        params = init_model(channels, int(meta["downsample"]), graph=graph)
     except ValueError as exc:
         raise CheckpointMismatchError(f"{path}: {exc}") from exc
     expected = params.named_tensors()

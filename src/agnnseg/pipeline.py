@@ -26,7 +26,6 @@ from .model import (
     check_fits,
     clip_loss,
     encode_frames,
-    init_model,
     predict_clip,
     static_loss,
 )
@@ -48,6 +47,7 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+VIDEOS_PER_BATCH = 2  # videos in one dynamic training batch
 # inference settings no dataclass owns: N' per video and per co-seg graph
 TEST_N_PRIME = 5
 COSEG_N_PRIME = 3
@@ -91,27 +91,25 @@ def static_batch_loss(scenes, params):
     return mean_loss(static_loss([s[0] for s in scenes], [s[1] for s in scenes], params))
 
 
-def train(manifest: DatasetManifest, config: TrainConfig, params=None):
-    """Optimize the model on a dataset's train split.
+def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameters):
+    """Optimize ``params`` (encoder, K and gating) in place on the train split.
 
-    ``params`` is updated in place, sets K and the gating, and defaults to
-    ``init_model(seed=config.seed)``.  Static and dynamic iterations
-    alternate, static on even steps.  Returns the trained parameters and one
-    loss value per iteration; raises DivergenceError the moment anything goes
-    non-finite.
+    Fewer than VIDEOS_PER_BATCH videos raise DatasetError, and a video whose
+    size the downsample factor does not divide raises CheckpointMismatchError
+    naming its directory.  Static and dynamic iterations alternate, static on
+    even steps.  Returns the trained parameters and one loss per iteration;
+    raises DivergenceError the moment anything goes non-finite.
     """
     where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
-    if len(entries) < config.videos_per_batch:
+    if len(entries) < VIDEOS_PER_BATCH:
         raise DatasetError(
-            f"{where}: train split has {len(entries)} videos, need >= {config.videos_per_batch}"
+            f"{where}: train split has {len(entries)} videos, need >= {VIDEOS_PER_BATCH}"
         )
-    if params is None:
-        params = init_model(seed=config.seed)
     downsample = params.downsample
     videos = [load_video(manifest, e) for e in entries]
-    for frames, _ in videos:
-        check_fits(params, frames, where)
+    for entry, (frames, _) in zip(entries, videos):
+        check_fits(params, frames, manifest.video_dir(entry))
     canvas = videos[0][0].shape[1]
     # uint8 frames and grid targets; encode scales the sampled clip frames
     videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
@@ -120,7 +118,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, params=None):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 17)))
 
     losses = []
-    batch_images = config.videos_per_batch * config.n_prime
+    batch_images = VIDEOS_PER_BATCH * config.n_prime
     for iteration in range(config.iterations):
         is_static = iteration % 2 == 0
         try:
@@ -133,7 +131,7 @@ def train(manifest: DatasetManifest, config: TrainConfig, params=None):
                         scenes.append((frame, downsample_mask(mask, downsample)))
                     loss = static_batch_loss(scenes, params)
                 else:
-                    picks = rng.choice(len(videos), size=config.videos_per_batch, replace=False)
+                    picks = rng.choice(len(videos), size=VIDEOS_PER_BATCH, replace=False)
                     batch = []
                     for vi in picks:
                         frames, targets = videos[vi]

@@ -6,8 +6,9 @@ per-frame scale jitter, plus distractor shapes of other classes that appear
 only in a strict subset of frames.  Shapes are rasterized with hard edges on
 pixel centres so mask areas are exact.  All randomness derives from seeds;
 regenerating with the same seed reproduces every byte.  The scene constants
-FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC, SCALE_RANGE, NOISE_AMP,
-MIN_AREA_FRAC and MIN_COLOR_DIST are fixed; each is described where it is set.
+DISTRACTOR_COUNT, FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC,
+SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC and MIN_COLOR_DIST are fixed; each is
+described where it is set.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
 _SPLIT_STREAMS = {"train": 0, "test": 1, "coseg": 2, "static": 3}
 
+DISTRACTOR_COUNT = 1  # other-class shapes per video and per static scene
 FG_HALF_FRAC = (0.16, 0.22)  # foreground base semi-axes, as canvas fractions
 DISTRACTOR_HALF_FRAC = (0.09, 0.14)  # distractor base semi-axes, likewise
 MAX_STEP_FRAC = 0.15  # largest move per frame and axis, as a canvas fraction
@@ -45,7 +47,6 @@ class SyntheticVideoSpec:
     num_frames: int = 24
     canvas: int = 64
     shape_class: str = "ellipse"
-    distractor_count: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -67,7 +68,6 @@ class VideoLayout:
     """What a rendered video contains (for invariant checks and debugging)."""
 
     fg_class: str
-    fg_color: np.ndarray
     distractor_classes: list
     distractor_visibility: list
 
@@ -185,7 +185,7 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
     bg_base, bg = _background(rng, canvas)
     fg = _Track(rng, canvas, spec.shape_class, FG_HALF_FRAC, bg_base)
     distractors = []
-    for _ in range(spec.distractor_count):
+    for _ in range(DISTRACTOR_COUNT):
         cls = _other_classes(spec.shape_class)[rng.integers(len(_other_classes(spec.shape_class)))]
         track = _Track(rng, canvas, cls, DISTRACTOR_HALF_FRAC, bg_base)
         if n > 1:
@@ -216,7 +216,6 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
     if return_layout:
         layout = VideoLayout(
             fg_class=spec.shape_class,
-            fg_color=fg.color,
             distractor_classes=[t.shape_class for t, _ in distractors],
             distractor_visibility=[sorted(v) for _, v in distractors],
         )
@@ -225,15 +224,15 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
 
 
 def render_static_scene(canvas, seed, shape_class=None):
-    """One image with a foreground shape and the spec's default count of
-    other-class distractors."""
+    """One image with a foreground shape and DISTRACTOR_COUNT other-class
+    distractors."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if shape_class is None:
         shape_class = SHAPE_CLASSES[rng.integers(len(SHAPE_CLASSES))]
     _check_scene(canvas, shape_class)
     bg_base, bg = _background(rng, canvas)
     frame = bg + rng.uniform(-NOISE_AMP, NOISE_AMP, size=(canvas, canvas, 3))
-    for _ in range(SyntheticVideoSpec.distractor_count):
+    for _ in range(DISTRACTOR_COUNT):
         cls = _other_classes(shape_class)[rng.integers(2)]
         track = _Track(rng, canvas, cls, DISTRACTOR_HALF_FRAC, bg_base)
         frame[track.raster(rng)] = track.color

@@ -82,7 +82,7 @@ def test_criterion_1_full_pipeline_gradients():
     elapsed = time.time() - start
     ok = result.max_rel_err < 1e-4 and elapsed < 60.0
     report(1, ok, f"max rel err {result.max_rel_err:.2e} over "
-                  f"{sum(t.size for t in tensors)} coordinates in {elapsed:.1f}s "
+                  f"{sum(t.data.size for t in tensors)} coordinates in {elapsed:.1f}s "
                   f"(limits 1e-4, 60s); worst: {result}")
 
 

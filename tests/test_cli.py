@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from agnnseg import cli
 from agnnseg.cli import main, parse_config, ConfigError
+from agnnseg.config import TrainConfig
 from agnnseg.graph import GraphConfig
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.pipeline import TrainResult
@@ -61,6 +63,11 @@ class TestConfig:
         assert set(cfg) == set(cli.CONFIG_FIELDS) | {"out_dir"}
         for key, (cls, name) in cli.CONFIG_FIELDS.items():
             assert cfg[key] == getattr(cls(), name), key
+
+    def test_every_train_setting_is_a_config_key(self):
+        # a TrainConfig field that no key sets is a setting no program caller changes
+        owned = {name for cls, name in cli.CONFIG_FIELDS.values() if cls is TrainConfig}
+        assert owned == {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_test_time_n_prime_is_not_a_config_key(self, tmp_path, capsys):
         # infer and eval take --n-prime; a config value would be silently unused
@@ -196,9 +203,38 @@ class TestTrain:
         code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 4
         assert capsys.readouterr().err == (
-            f"shape mismatch: {data / 'manifest.txt'}: canvas 36 not divisible by "
+            f"shape mismatch: {data / 'train' / 'video_0000'}: canvas 36 not divisible by "
             "downsample factor 8\n")
         assert not (tmp_path / "run").exists()
+
+    def test_indivisible_train_video_named_exit_4(self, tmp_path, capsys):
+        from agnnseg import pnm
+        data = tmp_path / "data"
+        generate_dataset(data, seed=0, train_videos=2, test_videos=0, num_frames=2,
+                         canvas=32, coseg_images_per_class=0)
+        odd = data / "train" / "video_0001"
+        for t in range(2):
+            pnm.write_ppm(odd / f"frame_{t:04d}.ppm", np.zeros((18, 18, 3), dtype=np.uint8))
+            pnm.write_pgm(odd / f"mask_{t:04d}.pgm", np.zeros((18, 18), dtype=bool))
+        cfg = write_config(tmp_path / "c.cfg", channels=4)
+        code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"shape mismatch: {odd}: canvas 18 not divisible by downsample factor 4\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_out_that_is_a_file_exit_2_before_training(self, tmp_path, tiny_dataset, capsys,
+                                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "taken"
+        out.write_text("x")
+        cfg = write_config(tmp_path / "c.cfg", channels=4)
+        code = main(["train", "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+        assert out.read_text() == "x"
 
     def test_too_few_train_videos_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -311,6 +347,23 @@ class TestInfer:
                      "--out", str(tmp_path / "o")])
         assert code == 4
         assert "meta.channels is nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_meta_channels_the_tensors_contradict_exit_4(self, tmp_path, tiny_dataset, capsys,
+                                                          command):
+        # a 4-channel model claiming 100000 channels must not build a model that wide
+        params = init_model(channels=4, downsample=4, seed=0)
+        from agnnseg.checkpoint import write_checkpoint
+        wide = tmp_path / "wide.agnn"
+        write_checkpoint(wide, [(n, t.data) for n, t in params.named_tensors()],
+                         meta={"channels": 100000, "downsample": 4, "k_iters": 2, "gated": 1})
+        argv = {"infer": ["infer", "--video-dir", str(tiny_dataset / "test" / "video_0000"),
+                          "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--data", str(tiny_dataset)]}[command]
+        assert main(argv + ["--checkpoint", str(wide)]) == 4
+        err = capsys.readouterr().err
+        assert str(wide) in err and "meta.channels is 100000" in err
+        assert not (tmp_path / "o").exists()
 
     def test_nan_tensor_exit_4(self, tmp_path, tiny_dataset, nan_checkpoint, capsys):
         video = tiny_dataset / "test" / "video_0000"

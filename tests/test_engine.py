@@ -533,14 +533,14 @@ class TestGradCheck:
 
 def _sum_to_scalar_zero(a):
     z = engine.scalar_scale(a, 0.0)
-    flat = engine.reshape(z, (1, a.size))
+    flat = engine.reshape(z, (1, a.data.size))
     return engine.reshape(engine.matmul(flat, engine.transpose(flat)), ())
 
 
 def _sum_all(x):
     """Differentiable reduction of any tensor to a scalar (for FD tests)."""
-    flat = engine.reshape(x, (1, x.size))
-    ones = Tensor(np.ones((x.size, 1)))
+    flat = engine.reshape(x, (1, x.data.size))
+    ones = Tensor(np.ones((x.data.size, 1)))
     return engine.reshape(engine.matmul(flat, ones), ())
 
 
@@ -606,7 +606,7 @@ class TestTapeReplay:
         with Tape() as tape:
             out = fn(*inputs)
         recomputed = replay(tape)
-        assert recomputed[tape.output_id()].tobytes() == out.data.tobytes()
+        assert recomputed[tape.records[-1].output_id].tobytes() == out.data.tobytes()
 
     def test_same_inputs_twice_bit_identical(self):
         rng = np.random.default_rng(6)

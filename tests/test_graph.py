@@ -377,10 +377,10 @@ class TestRounds:
         def fn(*tensors):
             finals = run_graph([h0, h1], p2)
             total = engine.add(
-                engine.reshape(finals[0], (1, finals[0].size)),
-                engine.reshape(finals[1], (1, finals[1].size)),
+                engine.reshape(finals[0], (1, finals[0].data.size)),
+                engine.reshape(finals[1], (1, finals[1].data.size)),
             )
-            ones = Tensor(np.ones((finals[0].size, 1)))
+            ones = Tensor(np.ones((finals[0].data.size, 1)))
             return engine.reshape(engine.matmul(engine.tanh(total), ones), ())
 
         check_tensors = [h0, h1, p.w_f, p.alpha, p.w_c, p.gate_w, p.w_z, p.w_u]

@@ -24,6 +24,7 @@ from agnnseg.pipeline import (
     train,
 )
 from agnnseg.synthdata import (
+    DatasetManifest,
     downsample_mask,
     generate_dataset,
     load_video,
@@ -44,7 +45,7 @@ def dataset(tmp_path_factory):
 
 
 def quick_config(**overrides):
-    base = dict(videos_per_batch=2, n_prime=2, lr=1e-3, momentum=0.9, iterations=4, seed=0)
+    base = dict(n_prime=2, lr=1e-3, momentum=0.9, iterations=4, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -203,8 +204,9 @@ class TestTraining:
         assert {target.shape for _, targets in stop.batch for target in targets} == {grid}
 
     def test_too_few_videos_rejected(self, dataset):
+        one_video = DatasetManifest(dataset.root, dataset.split("train")[:1])
         with pytest.raises(ValueError, match="train split"):
-            train(dataset, quick_config(videos_per_batch=99), params=small_model(quick_config()))
+            train(one_video, quick_config(), params=small_model(quick_config()))
 
 
 class TestInferVideo:

@@ -464,9 +464,10 @@ class TestDataset:
     def test_video_class_constant_and_distractors_strict_subset(self):
         for seed in range(8):
             spec = SyntheticVideoSpec(num_frames=6, canvas=32, shape_class="rectangle",
-                                      distractor_count=2, seed=seed)
+                                      seed=seed)
             frames, masks, layout = render_video(spec, return_layout=True)
             assert layout.fg_class == "rectangle"
+            assert len(layout.distractor_classes) == len(layout.distractor_visibility) == 1
             for cls, visible in zip(layout.distractor_classes, layout.distractor_visibility):
                 assert cls != layout.fg_class
                 assert 1 <= len(visible) < spec.num_frames
