@@ -20,6 +20,8 @@ from . import engine
 from .engine import Tensor, tensor_fields
 from .errors import FieldError
 
+MAX_K_ITERS = 16  # most rounds a model may run; a checkpoint asking more is rejected
+
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -31,6 +33,8 @@ class GraphConfig:
     def __post_init__(self):
         if self.k_iters < 1:
             raise FieldError("k_iters", f"must be >= 1, got {self.k_iters}")
+        if self.k_iters > MAX_K_ITERS:
+            raise FieldError("k_iters", f"must be <= {MAX_K_ITERS}, got {self.k_iters}")
 
 
 @dataclass

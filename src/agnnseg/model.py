@@ -10,6 +10,7 @@ from . import checkpoint as ckpt
 from . import head as head_mod
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .engine import NonFiniteError, Tensor
+from .errors import FieldError
 from .graph import AttentionParams, GraphConfig, init_attention_params, run_graph
 from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
 
@@ -117,9 +118,9 @@ def save_model(path, params: ModelParameters):
 def load_model(path):
     """Rebuild ModelParameters, K and the gating from a checkpoint.
 
-    meta.gated must be 0 or 1, every other meta value a finite whole number
-    of at least 1, and every tensor finite.  meta.channels must match the
-    stored (1, 1, C, C) encoder.proj.w before a model that wide is built.
+    meta.gated must be 0 or 1, every other meta value a whole number >= 1, and
+    every tensor finite; meta.k_iters <= graph.MAX_K_ITERS.  meta.channels must
+    match the stored (1, 1, C, C) encoder.proj.w before a model that wide is built.
     """
     tensors, meta = ckpt.read_checkpoint(path)
     for key in ("channels", "downsample", "k_iters", "gated"):
@@ -139,7 +140,10 @@ def load_model(path):
         raise CheckpointMismatchError(
             f"{path}: meta.channels is {channels}, but tensor encoder.proj.w is {stored}"
         )
-    graph = GraphConfig(k_iters=int(meta["k_iters"]), gated=meta["gated"] == 1.0)
+    try:
+        graph = GraphConfig(k_iters=int(meta["k_iters"]), gated=meta["gated"] == 1.0)
+    except FieldError as exc:
+        raise CheckpointMismatchError(f"{path}: meta.{exc.field} {exc.reason}") from exc
     try:
         params = init_model(channels, int(meta["downsample"]), graph=graph)
     except ValueError as exc:

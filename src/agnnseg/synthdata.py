@@ -64,15 +64,6 @@ class ManifestEntry:
 
 
 @dataclass
-class VideoLayout:
-    """What a rendered video contains (for invariant checks and debugging)."""
-
-    fg_class: str
-    distractor_classes: list
-    distractor_visibility: list
-
-
-@dataclass
 class DatasetManifest:
     root: Path
     entries: list
@@ -111,8 +102,9 @@ def raster_triangle(canvas, cy, cx, ry, rx):
     verts = [(cy - ry, cx), (cy + ry, cx - rx), (cy + ry, cx + rx)]
     inside = np.ones((canvas, canvas), dtype=bool)
     for (ay, ax), (by, bx) in zip(verts, verts[1:] + verts[:1]):
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        inside &= cross <= 0.0
+        # the cross product p - q <= 0 tested as p <= q, the same for finite
+        # floats with gradual underflow; (H, 1) <= (1, W) makes no float grid
+        inside &= (bx - ax) * (py - ay) <= (by - ay) * (px - ax)
     return inside
 
 
@@ -143,8 +135,11 @@ def _background(rng, canvas):
     base = rng.uniform(0.25, 0.75, size=3)
     slopes = rng.uniform(-0.25, 0.25, size=(2, 3)) / canvas
     axis = np.arange(canvas)
-    bg = base + axis[:, None, None] * slopes[0] + axis[None, :, None] * slopes[1]
-    return base, bg
+    # channel-major (3, H, W), so each add runs along a pixel row; the sums are
+    # the same, and one copy lays them out as (H, W, 3)
+    along_y, along_x = slopes[:, :, None, None]
+    bg = base[:, None, None] + along_y * axis[:, None] + along_x * axis
+    return base, bg.transpose(1, 2, 0).copy()
 
 
 class _Track:
@@ -178,7 +173,7 @@ def _other_classes(shape_class):
     return [c for c in SHAPE_CLASSES if c != shape_class]
 
 
-def render_video(spec: SyntheticVideoSpec, return_layout=False):
+def render_video(spec: SyntheticVideoSpec):
     """Frames in [0, 1] and exact boolean masks for one synthetic video."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     canvas, n = spec.canvas, spec.num_frames
@@ -213,13 +208,6 @@ def render_video(spec: SyntheticVideoSpec, return_layout=False):
         fg.step(rng)
         for track, _ in distractors:
             track.step(rng)
-    if return_layout:
-        layout = VideoLayout(
-            fg_class=spec.shape_class,
-            distractor_classes=[t.shape_class for t, _ in distractors],
-            distractor_visibility=[sorted(v) for _, v in distractors],
-        )
-        return frames, masks, layout
     return frames, masks
 
 
@@ -415,9 +403,12 @@ def near_equal_runs(items, count):
 def downsample_mask(mask, factor):
     """Majority vote per factor-sized block of the last two axes of (..., H, W).
 
-    Exact ties count as foreground.  Votes are counted with strided
-    slice-adds into int32 accumulators, first over the rows of each block
-    and then over its columns, so a whole video's masks take 2 * factor adds.
+    The mask is read as uint8 and its votes are counted, with strided
+    slice-adds first over the rows of each block and then over its columns,
+    in ``np.min_scalar_type(factor * factor)`` counters (uint8 up to factor
+    15, uint16 from 16), so no count can wrap.  A whole video's masks take
+    2 * factor adds.  A block is foreground when it has at least
+    ``(factor * factor + 1) // 2`` votes, so exact ties count as foreground.
     """
     arr = np.asarray(mask, dtype=bool)
     if arr.ndim < 2:
@@ -425,14 +416,15 @@ def downsample_mask(mask, factor):
     h, w = arr.shape[-2:]
     if h % factor or w % factor:
         raise ValueError(f"mask dims {arr.shape} not divisible by factor {factor}")
-    lead = arr.shape[:-2]
-    rows = np.zeros(lead + (h // factor, w), dtype=np.int32)
+    lead, bits = arr.shape[:-2], arr.view(np.uint8)
+    counter = np.min_scalar_type(factor * factor)
+    rows = np.zeros(lead + (h // factor, w), dtype=counter)
     for dy in range(factor):
-        rows += arr[..., dy::factor, :]
-    votes = np.zeros(lead + (h // factor, w // factor), dtype=np.int32)
+        rows += bits[..., dy::factor, :]
+    votes = np.zeros(lead + (h // factor, w // factor), dtype=counter)
     for dx in range(factor):
         votes += rows[..., dx::factor]
-    return 2 * votes >= factor * factor
+    return votes >= (factor * factor + 1) // 2
 
 
 def bilinear_upsample(grid, factor):

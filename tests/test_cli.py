@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from agnnseg import cli
+from agnnseg import graph as graph_mod
 from agnnseg.cli import main, parse_config, ConfigError
 from agnnseg.config import TrainConfig
-from agnnseg.graph import GraphConfig
+from agnnseg.graph import MAX_K_ITERS, GraphConfig
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.pipeline import TrainResult
 from agnnseg.synthdata import generate_dataset
@@ -144,6 +145,14 @@ class TestConfig:
             argv += ["--data", str(tiny_dataset)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {path}: {key} must be >= 1, got 0\n"
+
+    def test_k_iters_above_the_cap_exit_1(self, tmp_path, tiny_dataset, capsys):
+        path = write_config(tmp_path / "c.cfg", k_iters=MAX_K_ITERS + 1)
+        out = tmp_path / "out"
+        assert main(["train", "--config", path, "--data", str(tiny_dataset),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: k_iters must be <= 16, got 17\n"
+        assert not out.exists()
 
 
 class TestGenData:
@@ -363,6 +372,27 @@ class TestInfer:
         assert main(argv + ["--checkpoint", str(wide)]) == 4
         err = capsys.readouterr().err
         assert str(wide) in err and "meta.channels is 100000" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_meta_k_iters_above_the_cap_exit_4(self, tmp_path, tiny_dataset, capsys,
+                                                monkeypatch, command):
+        # a billion rounds would run until killed; no round may run at all
+        def no_round(*args):
+            raise AssertionError("a message-passing round ran")
+
+        monkeypatch.setattr(graph_mod, "propagate_round", no_round)
+        params = init_model(channels=4, downsample=4, seed=0)
+        from agnnseg.checkpoint import write_checkpoint
+        deep = tmp_path / "deep.agnn"
+        write_checkpoint(deep, [(n, t.data) for n, t in params.named_tensors()],
+                         meta={"channels": 4, "downsample": 4, "k_iters": 1e9, "gated": 1})
+        argv = {"infer": ["infer", "--video-dir", str(tiny_dataset / "test" / "video_0000"),
+                          "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--data", str(tiny_dataset)]}[command]
+        assert main(argv + ["--checkpoint", str(deep)]) == 4
+        err = capsys.readouterr().err
+        assert f"{deep}: meta.k_iters must be <= 16, got 1000000000" in err
         assert not (tmp_path / "o").exists()
 
     def test_nan_tensor_exit_4(self, tmp_path, tiny_dataset, nan_checkpoint, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agnnseg import pnm
+from agnnseg import pnm, synthdata
 from agnnseg.encoder import EncoderConfig, encode, init_encoder
 from agnnseg.errors import FormatError
 from agnnseg.synthdata import (
@@ -461,16 +461,36 @@ class TestDataset:
         assert info.value.path == tmp_path / "manifest.txt"
         assert info.value.offset == len(first)
 
-    def test_video_class_constant_and_distractors_strict_subset(self):
+    def test_video_class_constant_and_distractors_strict_subset(self, monkeypatch):
+        # every track render_video makes, with each mask it rasterizes
+        tracks = []
+
+        class SpyTrack(synthdata._Track):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.drawn = []
+                tracks.append(self)
+
+            def raster(self, rng):
+                mask = super().raster(rng)
+                self.drawn.append(mask)
+                return mask
+
+        monkeypatch.setattr(synthdata, "_Track", SpyTrack)
         for seed in range(8):
+            tracks.clear()
             spec = SyntheticVideoSpec(num_frames=6, canvas=32, shape_class="rectangle",
                                       seed=seed)
-            frames, masks, layout = render_video(spec, return_layout=True)
-            assert layout.fg_class == "rectangle"
-            assert len(layout.distractor_classes) == len(layout.distractor_visibility) == 1
-            for cls, visible in zip(layout.distractor_classes, layout.distractor_visibility):
-                assert cls != layout.fg_class
-                assert 1 <= len(visible) < spec.num_frames
+            frames, masks = render_video(spec)
+            # the foreground track is the one that draws every returned mask
+            fg = [t for t in tracks if len(t.drawn) == spec.num_frames
+                  and all(np.array_equal(d, m) for d, m in zip(t.drawn, masks))]
+            assert len(fg) == 1 and fg[0].shape_class == "rectangle"
+            distractors = [t for t in tracks if t is not fg[0]]
+            assert len(distractors) == 1
+            for track in distractors:
+                assert track.shape_class != fg[0].shape_class
+                assert 1 <= len(track.drawn) < spec.num_frames
             # common object keeps one colour through the whole video
             fg_colors = np.concatenate([f[m] for f, m in zip(frames, masks)])
             assert np.all(np.abs(fg_colors - fg_colors[0]) < 1e-12)
@@ -614,6 +634,33 @@ class TestDownsampleMask:
         yy, xx = np.mgrid[0:4, 0:4]
         checker = (yy + xx) % 2 == 0
         np.testing.assert_array_equal(downsample_mask(checker, 2), np.ones((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("factor", [15, 16])
+    def test_full_block_votes_foreground_at_the_counter_limits(self, factor):
+        # 225 votes fill a uint8 counter; 256 would wrap one to 0
+        mask = np.zeros((2, factor, 2 * factor), dtype=bool)
+        mask[:, :, :factor] = True
+        want = np.array([[[True, False]]] * 2)
+        np.testing.assert_array_equal(downsample_mask(mask, factor), want)
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    def test_exact_half_ties_go_foreground(self, factor):
+        rng = np.random.default_rng(factor)
+        half = factor * factor // 2
+        blocks = np.zeros((2, factor * factor), dtype=bool)
+        blocks[0, rng.permutation(factor * factor)[:half]] = True  # a tie
+        blocks[1, rng.permutation(factor * factor)[:half - 1]] = True  # one vote short
+        mask = np.concatenate([b.reshape(factor, factor) for b in blocks], axis=1)
+        np.testing.assert_array_equal(downsample_mask(mask, factor), [[True, False]])
+
+    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
+    def test_reversed_strided_view_matches_counting_oracle(self, factor):
+        rng = np.random.default_rng(30 + factor)
+        base = rng.uniform(size=(3, 2 * factor, 6 * factor)) < 0.5
+        view = base[::-1, ::-1, ::-3]  # negative and non-unit strides
+        got = downsample_mask(view, factor)
+        want = np.stack([oracles.block_majority_loops(m, factor) for m in view])
+        np.testing.assert_array_equal(got, want)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(8)

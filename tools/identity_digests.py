@@ -4,9 +4,10 @@
 
 Imports ``agnnseg`` from ``SRC_DIR/src`` and from nowhere else, runs a fixed
 set of CLI commands and library calls in a temporary directory, and prints
-one JSON object with ten digests.  Two trees whose outputs are byte-identical
-print the same object, so a change that must not move a single bit is checked
-by running this on a copy of each tree and comparing the two lines.  Every
+one JSON object with eleven digests.  Two trees whose outputs are
+byte-identical print the same object, so a change that must not move a single
+bit is checked by running this on a copy of each tree and comparing the two
+lines.  Every
 call below except ``gen-data`` reaches ``engine.reshape``, so on a tree
 whose ``engine/ops.py`` cannot run a reshape the script stops with that
 error at the CLI ``train``.
@@ -16,6 +17,9 @@ error at the CLI ``train``.
   ``cli_checkpoint``), ``eval`` (its standard output, ``cli_eval_csv``),
   ``infer --task video`` on the first test video and ``infer --task coseg``
   on the first 6 co-segmentation images of one class (the PGMs it writes).
+* Data path (``data_path``): every file ``gen-data`` wrote, by relative path,
+  then ``render_static_scene`` for seeds 0-99 at canvas 16, 32 and 64 (frame,
+  mask and class) with each mask's ``downsample_mask`` at factors 4 and 8.
 * Library, on the default dataset at seed 71: a 6-iteration ``train`` from
   ``init_model(seed=71)`` (``train_losses``, and ``train_params`` over every
   named tensor); then, from a fresh ``init_model(seed=71)``, ``evaluate``
@@ -26,8 +30,8 @@ Each digest is SHA-256 over bytes concatenated in order: a file's bytes
 (PGMs in name order), ``eval``'s standard output, the float64 bytes of the
 losses, of each named tensor in ``named_tensors`` order and of each map, and
 ``repr`` of the ``evaluate`` rows.  A digest over several files or maps is
-listed as ``[count, digest]``.  BLAS, OpenMP and MKL run one thread each, as
-in ``perfbench``.
+listed as ``[count, digest]``; ``data_path`` counts the files and the scenes.
+BLAS, OpenMP and MKL run one thread each, as in ``perfbench``.
 """
 
 import os
@@ -51,6 +55,9 @@ CLI_COSEG_IMAGES = 6
 LIBRARY_SEED = 71
 TRAIN_ITERATIONS = 6
 COSEG_GROUP = 10
+DATA_SEEDS = 100
+DATA_CANVASES = (16, 32, 64)
+DATA_FACTORS = (4, 8)
 
 
 def _import_program(src_dir):
@@ -78,6 +85,20 @@ def _maps_digest(maps):
     return [len(maps), _sha(*(m.tobytes() for m in maps))]
 
 
+def data_path_digest(data):
+    """Everything gen-data wrote, then static scenes and their mask votes."""
+    from agnnseg.synthdata import downsample_mask, render_static_scene
+
+    files = sorted(p for p in Path(data).rglob("*") if p.is_file())
+    chunks = [c for p in files for c in (str(p.relative_to(data)).encode(), p.read_bytes())]
+    for canvas in DATA_CANVASES:
+        for seed in range(DATA_SEEDS):
+            frame, mask, shape_class = render_static_scene(canvas, seed)
+            chunks += [frame.tobytes(), mask.tobytes(), shape_class.encode()]
+            chunks += [downsample_mask(mask, f).tobytes() for f in DATA_FACTORS]
+    return [len(files) + DATA_SEEDS * len(DATA_CANVASES), _sha(*chunks)]
+
+
 def _cli(*argv):
     """Run ``agnnseg`` in-process; its standard output, or exit on an error."""
     from agnnseg.cli import main
@@ -95,6 +116,7 @@ def cli_digests(work):
     config.write_text(CLI_CONFIG)
     data, run = work / "cli-data", work / "cli-run"
     _cli("gen-data", "--config", config, "--out", data)
+    data_path = data_path_digest(data)
     _cli("train", "--config", config, "--data", data, "--out", run)
     checkpoint = run / "checkpoint.agnn"
     eval_csv = _cli("eval", "--checkpoint", checkpoint, "--data", data)
@@ -114,6 +136,7 @@ def cli_digests(work):
     _cli("infer", "--checkpoint", checkpoint, "--video-dir", images,
          "--out", work / "coseg-masks", "--task", "coseg")
     return {
+        "data_path": data_path,
         "cli_train_loss_csv": _sha((run / "loss.csv").read_bytes()),
         "cli_checkpoint": _sha(checkpoint.read_bytes()),
         "cli_eval_csv": _sha(eval_csv.encode()),
