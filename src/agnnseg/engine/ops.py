@@ -63,17 +63,15 @@ def _im2col(x, kh, kw, stride, h_out, w_out):
     """Patch matrix ``(h_out*w_out, kh*kw*c_in)`` of the zero-padded input.
 
     Row ``oy*w_out + ox`` is the window at ``(oy*stride, ox*stride)`` in
-    ``(ky, kx, c)`` order.  A 1x1 kernel reshapes ``x``, or a copy of
-    ``x[::stride, ::stride]``.  Any other kernel zeroes only the border of one
-    padded buffer, and copies every window once, from one strided view of
-    that buffer, into the contiguous matrix.  The forward and the VJP both
-    call it on the same ``x``, so they see the same bytes.
+    ``(ky, kx, c)`` order.  A 1x1 stride-1 kernel reshapes ``x``.  Any other
+    kernel zeroes only the border of one padded buffer, and copies every
+    window once, from one strided view of that buffer, into the contiguous
+    matrix.  The forward and the VJP both call it on the same ``x``, so they
+    see the same bytes.
     """
     h, w, c_in = x.shape
-    if kh == kw == 1:
-        if stride == 1:
-            return x.reshape(h * w, c_in)
-        return np.ascontiguousarray(x[::stride, ::stride]).reshape(h_out * w_out, c_in)
+    if kh == kw == 1 and stride == 1:
+        return x.reshape(h * w, c_in)
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     xpad = np.empty((h + 2 * ph, w + 2 * pw, c_in), dtype=x.dtype)
     xpad[:ph] = 0.0
