@@ -23,13 +23,12 @@ import sys
 from pathlib import Path
 
 from . import pnm
-from .config import TrainConfig
 from .encoder import EncoderConfig
 from .errors import DatasetError, FieldError, FormatError
 from .graph import GraphConfig
 from .model import CheckpointMismatchError, check_fits, init_model, load_model, save_model
 from .pipeline import (COSEG_N_PRIME, MASK_THRESHOLD, TEST_N_PRIME, DivergenceError,
-                       evaluate, infer_video, iocs_infer, train)
+                       TrainConfig, evaluate, infer_video, iocs_infer, train)
 from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
 
 EXIT_OK = 0

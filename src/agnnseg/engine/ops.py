@@ -401,12 +401,19 @@ _register("reshape", keeps_finite=True)((_reshape_forward, _reshape_vjp))
 
 
 def _weighted_bce_forward(arrays, attrs):
+    """Class-balanced binary cross entropy, summed over pixels.
+
+    The foreground term carries weight ``1 - eta`` and the background term
+    ``eta``, with ``eta`` the foreground fraction of the binary target,
+    clamped to ``[1/n, 1 - 1/n]`` for n pixels.  Log arguments are clipped
+    at ``LOG_CLAMP``.
+    """
     (pred,) = arrays
-    target = np.asarray(attrs["target"])
-    eta = float(attrs["eta"])
+    target = np.asarray(attrs["target"], dtype=np.float64)
     _require(pred.shape == target.shape, "bce shape mismatch: {} vs {}", pred.shape, target.shape)
     _require(np.all((target == 0.0) | (target == 1.0)), "bce target must be binary")
-    _require(0.0 <= eta <= 1.0, "bce weight eta={} outside [0, 1]", eta)
+    n = target.size
+    eta = float(np.clip(float(target.sum()) / n, 1.0 / n, 1.0 - 1.0 / n))
     p = np.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
     loss = -np.sum((1.0 - eta) * target * np.log(p) + eta * (1.0 - target) * np.log1p(-p))
     inside = (pred > LOG_CLAMP) & (pred < 1.0 - LOG_CLAMP)
@@ -419,10 +426,11 @@ def _weighted_bce_vjp(g, saved, attrs):
     return (g * grad * saved["inside"],)
 
 
-# the clip keeps log(p) and log1p(-p) at or above log(LOG_CLAMP) ~ -27.6, so
-# with eta in [0, 1] and a binary target each term is at most 27.6 in size
-# and the sum of n terms at most 27.6 n, finite for any array that fits in
-# memory
+# pred is a tensor, so n >= 1; the clamp gives eta in [1/n, 1 - 1/n] for
+# n >= 2 and 1 - 1/n = 0 for n = 1, so eta and 1 - eta lie in [0, 1].  The
+# clip keeps log(p) and log1p(-p) at or above log(LOG_CLAMP) ~ -27.6, so
+# with a binary target each term is at most 27.6 in size and the sum of n
+# terms at most 27.6 n, finite for any array that fits in memory
 _register("weighted_bce", keeps_finite=True)((_weighted_bce_forward, _weighted_bce_vjp))
 
 
@@ -576,5 +584,5 @@ def reshape(x, shape):
     return apply("reshape", [x], {"shape": tuple(shape)})
 
 
-def weighted_bce(pred, target, eta):
-    return apply("weighted_bce", [pred], {"target": target, "eta": eta})
+def weighted_bce(pred, target):
+    return apply("weighted_bce", [pred], {"target": target})

@@ -18,13 +18,12 @@ gradients for everything on the tape.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _id_counter = itertools.count()
-_local = threading.local()
+_active_tapes = []  # active tapes, innermost last; None while taping is suspended
 
 
 class NonFiniteError(ValueError):
@@ -54,28 +53,20 @@ def _as_tensor_array(value):
     return arr
 
 
-def _tape_stack():
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
-
-
 def active_tape():
-    """The innermost active tape for this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The innermost active tape, or None."""
+    return _active_tapes[-1] if _active_tapes else None
 
 
 class suspend_taping:
     """Context manager that disables recording (used by finite differences)."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _active_tapes.append(None)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _active_tapes.pop()
         return False
 
 
@@ -163,11 +154,11 @@ class Tape:
     _produced: set = field(default_factory=set)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _active_tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _tape_stack().pop()
+        popped = _active_tapes.pop()
         assert popped is self, "tape stack corrupted"
         return False
 

@@ -1,4 +1,7 @@
-"""Readout to segmentation maps, the class-balanced loss, and the static head."""
+"""Readout to segmentation maps, the static head, and the batch mean of losses.
+
+The class-balanced loss itself is the engine op ``weighted_bce``.
+"""
 
 from __future__ import annotations
 
@@ -35,18 +38,6 @@ class AuxParams:
 
     def named(self):
         return tensor_fields(self)
-
-
-@dataclass
-class LossStats:
-    """A scalar loss tensor plus the foreground ratio that weighted it."""
-
-    loss: Tensor
-    eta: float
-
-    @property
-    def value(self) -> float:
-        return float(self.loss.data)
 
 
 def init_readout(channels, seed) -> ReadoutParams:
@@ -88,33 +79,12 @@ def aux_static_predict(v, params: AuxParams) -> Tensor:
     return engine.reshape(probs, probs.shape[:2])
 
 
-def foreground_ratio(target) -> float:
-    """Foreground fraction of a binary mask, clamped away from 0 and 1."""
-    arr = np.asarray(target, dtype=float)
-    total = arr.size
-    ratio = float(arr.sum()) / total
-    return float(np.clip(ratio, 1.0 / total, 1.0 - 1.0 / total))
-
-
-def weighted_bce(target, pred: Tensor) -> LossStats:
-    """Class-balanced binary cross entropy, summed over pixels.
-
-    The foreground term carries weight (1 - eta) and the background term
-    eta, with eta the clamped foreground fraction of the binary target
-    array.  Log arguments are clamped at ``engine.ops.LOG_CLAMP`` (1e-12).
-    """
-    arr = np.asarray(target, dtype=float)  # the engine op checks its shape and values
-    eta = foreground_ratio(arr)
-    loss = engine.weighted_bce(pred, arr, eta=eta)
-    return LossStats(loss=loss, eta=eta)
-
-
-def mean_loss(stats) -> Tensor:
-    """Arithmetic mean of per-frame losses (the batch reduction)."""
-    stats = list(stats)
-    if not stats:
+def mean_loss(losses) -> Tensor:
+    """Arithmetic mean of per-frame loss tensors (the batch reduction)."""
+    losses = list(losses)
+    if not losses:
         raise ValueError("no losses to average")
-    total = stats[0].loss
-    for s in stats[1:]:
-        total = engine.add(total, s.loss)
-    return engine.scalar_scale(total, 1.0 / len(stats))
+    total = losses[0]
+    for loss in losses[1:]:
+        total = engine.add(total, loss)
+    return engine.scalar_scale(total, 1.0 / len(losses))

@@ -9,10 +9,10 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import head as head_mod
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
-from .engine import NonFiniteError, Tensor
+from .engine import NonFiniteError, Tensor, weighted_bce
 from .errors import FieldError
 from .graph import AttentionParams, GraphConfig, init_attention_params, run_graph
-from .head import AuxParams, ReadoutParams, init_aux, init_readout, weighted_bce
+from .head import AuxParams, ReadoutParams, init_aux, init_readout
 
 
 class CheckpointMismatchError(ValueError):
@@ -87,19 +87,19 @@ def predict_clip(frames, params: ModelParameters):
 
 
 def clip_loss(frames, grid_masks, params: ModelParameters):
-    """Per-frame weighted BCE against grid-resolution binary masks."""
+    """Per-frame weighted BCE tensors against grid-resolution binary masks."""
     preds = predict_clip(frames, params)
-    return [weighted_bce(gt, pred) for gt, pred in zip(grid_masks, preds)]
+    return [weighted_bce(pred, gt) for gt, pred in zip(grid_masks, preds)]
 
 
 def static_loss(images, grid_masks, params: ModelParameters):
-    """Auxiliary-head losses for single images, bypassing the graph."""
-    stats = []
+    """Auxiliary-head loss tensors for single images, bypassing the graph."""
+    losses = []
     for image, gt in zip(images, grid_masks):
         v = encode(image, params.encoder)
         pred = head_mod.aux_static_predict(v, params.aux)
-        stats.append(weighted_bce(gt, pred))
-    return stats
+        losses.append(weighted_bce(pred, gt))
+    return losses
 
 
 def save_model(path, params: ModelParameters):

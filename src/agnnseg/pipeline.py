@@ -16,9 +16,8 @@ import numpy as np
 
 from . import head as head_mod
 from . import metrics
-from .config import TrainConfig
 from .engine import NonFiniteError, Tape, Tensor, active_tape, backward
-from .errors import DatasetError
+from .errors import DatasetError, FieldError
 from .graph import run_graph
 from .head import mean_loss
 from .model import (
@@ -54,6 +53,29 @@ COSEG_N_PRIME = 3
 MASK_THRESHOLD = 0.5
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training N', SGD and seed.  The model's own settings live beside its
+    code: ``EncoderConfig`` in ``encoder`` and ``GraphConfig`` (K and the
+    gating) in ``graph``."""
+
+    n_prime: int = 3
+    lr: float = 1e-3
+    momentum: float = 0.9
+    iterations: int = 2000
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_prime", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise FieldError(name, f"must be >= 1, got {value}")
+        if self.lr < 0:
+            raise FieldError("lr", f"must be >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise FieldError("momentum", f"must be in [0, 1), got {self.momentum}")
+
+
 @dataclass
 class TrainResult:
     params: ModelParameters
@@ -81,10 +103,10 @@ class SGD:
 
 def dynamic_batch_loss(batch, params):
     """Mean frame loss over one graph per video in the batch."""
-    stats = []
+    losses = []
     for frames, grid_masks in batch:
-        stats.extend(clip_loss(frames, grid_masks, params))
-    return mean_loss(stats)
+        losses.extend(clip_loss(frames, grid_masks, params))
+    return mean_loss(losses)
 
 
 def static_batch_loss(scenes, params):
@@ -219,7 +241,7 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PR
     if others:
         if n_prime < 2:
             raise ValueError("n_prime must be >= 2 when the group has other images")
-        groups = _near_equal_chunks(others, per_group=n_prime - 1)
+        groups = near_equal_runs(others, -(-len(others) // (n_prime - 1)))
     state = v_target
     for group in groups:
         nodes = [state] + embed(group)
@@ -263,10 +285,6 @@ def _group_embedder(images, params: ModelParameters):
 def _image_key(image):
     arr = np.asarray(image.data if isinstance(image, Tensor) else image)
     return arr.dtype, arr.shape, arr.tobytes()
-
-
-def _near_equal_chunks(items, per_group):
-    return near_equal_runs(items, -(-len(items) // per_group))
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,20 @@ def convgru_loops(h_prev, m, w_z, b_z, w_r, b_r, w_u, b_u):
     return (1.0 - z) * h_prev + z * cand
 
 
-def weighted_bce_loops(target, pred, eta, clamp=1e-12):
+def foreground_ratio_loops(target):
+    """Foreground pixels over all pixels, clamped to [1/n, 1 - 1/n]."""
     h, w = target.shape
+    n = h * w
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            count += target[y, x] == 1.0
+    return min(max(count / n, 1.0 / n), 1.0 - 1.0 / n)
+
+
+def weighted_bce_loops(target, pred, clamp=1e-12):
+    h, w = target.shape
+    eta = foreground_ratio_loops(target)
     total = 0.0
     for y in range(h):
         for x in range(w):

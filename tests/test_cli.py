@@ -9,10 +9,9 @@ import pytest
 from agnnseg import cli
 from agnnseg import graph as graph_mod
 from agnnseg.cli import main, parse_config, ConfigError
-from agnnseg.config import TrainConfig
 from agnnseg.graph import MAX_K_ITERS, GraphConfig
 from agnnseg.model import init_model, load_model, save_model
-from agnnseg.pipeline import TrainResult
+from agnnseg.pipeline import TrainConfig, TrainResult
 from agnnseg.synthdata import generate_dataset
 from oracles import tree_hash
 

@@ -14,10 +14,12 @@ from agnnseg.engine import (
     NonFiniteError,
     Tape,
     Tensor,
+    active_tape,
     apply,
     backward,
     grad_check,
     replay,
+    suspend_taping,
 )
 
 import oracles
@@ -218,7 +220,7 @@ class TestForwardContracts:
 
     def test_weighted_bce_binary_target_required(self):
         with pytest.raises(ValueError, match="binary"):
-            apply("weighted_bce", [t(np.full((2, 2), 0.5))], {"target": np.full((2, 2), 0.5), "eta": 0.5})
+            apply("weighted_bce", [t(np.full((2, 2), 0.5))], {"target": np.full((2, 2), 0.5)})
 
 
 # the largest and smallest magnitudes a float64 holds, and both zeros
@@ -243,7 +245,7 @@ OP_CALLS = {
     "concat_channels": ([(2, 2, 1), (2, 2, 3)], {}),
     "scalar_scale": ([(2, 3)], {"factor": 1.0}),
     "reshape": ([(2, 3)], {"shape": (3, 2)}),
-    "weighted_bce": ([(3, 3)], {}),  # each test sets a target and eta
+    "weighted_bce": ([(3, 3)], {}),  # each test sets a target
 }
 
 # for each kind whose output is scanned: finite inputs it maps to NaN or Inf
@@ -285,19 +287,19 @@ class TestFiniteness:
         if kind == "weighted_bce":
             n = int(np.prod(shapes[0]))
             target = data.draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n))
-            attrs = {"target": np.reshape(target, shapes[0]),
-                     "eta": data.draw(st.floats(0.0, 1.0))}
+            attrs = {"target": np.reshape(target, shapes[0])}
         with np.errstate(over="ignore"):  # row_softmax's shift may reach -inf
             out = apply(kind, inputs, attrs)
         assert np.isfinite(out.data).all()
         assert type(out.data) is np.ndarray and out.data.dtype == np.float64
 
     def test_unscanned_kinds_at_the_extremes(self):
-        for kind in UNSCANNED_RUN:
-            shapes, attrs = OP_CALLS[kind]
-            if kind == "weighted_bce":
-                attrs = {"target": np.eye(3), "eta": 1.0}
-            inputs = [t(np.resize(np.array(EXTREMES), s)) for s in shapes]
+        calls = [(kind, OP_CALLS[kind][1]) for kind in UNSCANNED_RUN if kind != "weighted_bce"]
+        # the all-zero and all-one targets are the two whose eta is clamped
+        calls += [("weighted_bce", {"target": target})
+                  for target in (np.eye(3), np.zeros((3, 3)), np.ones((3, 3)))]
+        for kind, attrs in calls:
+            inputs = [t(np.resize(np.array(EXTREMES), s)) for s in OP_CALLS[kind][0]]
             with np.errstate(over="ignore"):
                 out = apply(kind, inputs, attrs)
             assert np.isfinite(out.data).all(), kind
@@ -519,7 +521,7 @@ class TestGradCheck:
         before = [x.data.copy() for x in (a, b)]
 
         def fn(a_, b_):
-            return engine.weighted_bce(engine.sigmoid(engine.mul(a_, b_)), target, eta=0.3)
+            return engine.weighted_bce(engine.sigmoid(engine.mul(a_, b_)), target)
 
         report = grad_check(fn, [a, b])
         assert report.max_rel_err < 1e-6, str(report)
@@ -595,8 +597,33 @@ def _scalarized_op(kind, rng):
     if kind == "weighted_bce":
         target = (rng.uniform(size=(3, 3)) > 0.5).astype(float)
         pred = t(rng.uniform(0.05, 0.95, size=(3, 3)))
-        return (lambda p_: engine.weighted_bce(p_, target, eta=0.3)), [pred]
+        return (lambda p_: engine.weighted_bce(p_, target)), [pred]
     raise AssertionError(f"no scalarization for {kind}")
+
+
+class TestActiveTape:
+    def test_nested_tapes_and_suspension_restore_the_previous_tape(self):
+        assert active_tape() is None
+        with Tape() as outer:
+            assert active_tape() is outer
+            with Tape() as inner:
+                assert active_tape() is inner
+                with suspend_taping():
+                    assert active_tape() is None
+                    apply("relu", [t(np.ones(2))])
+                assert active_tape() is inner
+            assert active_tape() is outer
+        assert active_tape() is None
+        assert inner.records == [] and outer.records == []
+
+    @pytest.mark.parametrize("context", [Tape, suspend_taping])
+    def test_exit_by_an_exception_restores_the_previous_tape(self, context):
+        with Tape() as outer:
+            with pytest.raises(KeyError):
+                with context():
+                    raise KeyError("inside")
+            assert active_tape() is outer
+        assert active_tape() is None
 
 
 class TestTapeReplay:

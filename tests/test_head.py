@@ -1,21 +1,20 @@
-"""Readout, loss values and gradients, and the auxiliary static head."""
+"""Readout, the weighted_bce loss values and gradients, the auxiliary static head
+and the batch mean of losses."""
 
 import math
 
 import numpy as np
 import pytest
 
-from agnnseg.engine import Tape, Tensor, backward
+from agnnseg.engine import Tape, Tensor, backward, weighted_bce
 from agnnseg.head import (
     AuxParams,
     ReadoutParams,
     aux_static_predict,
-    foreground_ratio,
     init_aux,
     init_readout,
     mean_loss,
     readout,
-    weighted_bce,
 )
 
 import oracles
@@ -76,61 +75,72 @@ class TestWeightedBce:
     def test_perfect_prediction_is_near_zero(self):
         s = np.zeros((4, 4))
         s[1:3, 1:3] = 1.0
-        stats = weighted_bce(s, t(s.copy()))
-        assert 0.0 <= stats.value <= 16 * 1e-11
+        loss = float(weighted_bce(t(s.copy()), s).data)
+        assert 0.0 <= loss <= 16 * 1e-11
 
     def test_half_foreground_half_confidence(self):
-        # 2x2 mask with 2 foreground pixels, uniform 0.5 prediction
+        # 2x2 mask with 2 foreground pixels (eta 0.5), uniform 0.5 prediction
         s = np.array([[1.0, 0.0], [0.0, 1.0]])
-        stats = weighted_bce(s, t(np.full((2, 2), 0.5)))
-        assert stats.eta == 0.5
-        assert stats.value == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
+        loss = float(weighted_bce(t(np.full((2, 2), 0.5)), s).data)
+        assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
     def test_all_background_clamped_eta(self):
+        # eta clamps to 1/16, so 16 background pixels give 16 * (1/16) * ln 2
         s = np.zeros((4, 4))
-        stats = weighted_bce(s, t(np.full((4, 4), 0.5)))
-        assert stats.eta == pytest.approx(1.0 / 16.0)
-        assert stats.value == pytest.approx(math.log(2.0), abs=1e-9)
+        loss = float(weighted_bce(t(np.full((4, 4), 0.5)), s).data)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = (rng.uniform(size=(3, 5)) > 0.6).astype(float)
             pred = rng.uniform(0.01, 0.99, size=(3, 5))
-            stats = weighted_bce(s, t(pred))
-            want = oracles.weighted_bce_loops(s, pred, stats.eta)
-            assert stats.value == pytest.approx(want, abs=1e-12)
+            loss = float(weighted_bce(t(pred), s).data)
+            assert loss == pytest.approx(oracles.weighted_bce_loops(s, pred), abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             s = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-            stats = weighted_bce(s, t(rng.uniform(0.0, 1.0, size=(4, 4))))
-            assert stats.value >= 0.0
+            assert float(weighted_bce(t(rng.uniform(0.0, 1.0, size=(4, 4))), s).data) >= 0.0
 
     def test_nonbinary_target_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            weighted_bce(np.full((2, 2), 0.3), t(np.full((2, 2), 0.5)))
+            weighted_bce(t(np.full((2, 2), 0.5)), np.full((2, 2), 0.3))
 
     def test_eta_computed_from_target_only(self):
+        # 4 of 20 pixels are foreground: eta 0.2 whatever the prediction
         s = np.zeros((5, 4))
         s[0, :] = 1.0
-        assert weighted_bce(s, t(np.full((5, 4), 0.7))).eta == pytest.approx(0.2)
+        for p in (0.3, 0.7):
+            loss = float(weighted_bce(t(np.full((5, 4), p)), s).data)
+            want = -(0.8 * 4 * math.log(p) + 0.2 * 16 * math.log(1.0 - p))
+            assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_bool_target_gives_the_float_target_bytes(self):
+        rng = np.random.default_rng(7)
+        s = rng.uniform(size=(4, 4)) > 0.5
+        pred = t(rng.uniform(0.05, 0.95, size=(4, 4)))
+        as_bool = weighted_bce(pred, s).data
+        assert as_bool.tobytes() == weighted_bce(pred, s.astype(float)).data.tobytes()
 
     def test_gradient_matches_closed_form(self):
         rng = np.random.default_rng(5)
         s = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
         pred = t(rng.uniform(0.05, 0.95, size=(4, 4)))
         with Tape() as tape:
-            stats = weighted_bce(s, pred)
+            weighted_bce(pred, s)
         grads = backward(tape, np.ones(()))
-        eta = stats.eta
+        eta = oracles.foreground_ratio_loops(s)
         want = -(1.0 - eta) * s / pred.data + eta * (1.0 - s) / (1.0 - pred.data)
         np.testing.assert_allclose(grads[pred], want, atol=1e-9)
 
     def test_foreground_ratio_clamp(self):
-        assert foreground_ratio(np.zeros((4, 4))) == pytest.approx(1.0 / 16.0)
-        assert foreground_ratio(np.ones((4, 4))) == pytest.approx(15.0 / 16.0)
+        # an all-background and an all-foreground mask clamp eta to 1/16 and
+        # 15/16, so a 0.5 prediction costs ln 2 either way, not 0
+        for s in (np.zeros((4, 4)), np.ones((4, 4))):
+            loss = float(weighted_bce(t(np.full((4, 4), 0.5)), s).data)
+            assert loss == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 class TestAuxHead:
@@ -158,12 +168,12 @@ class TestAuxHead:
 class TestMeanLoss:
     def test_mean_over_frames(self):
         rng = np.random.default_rng(6)
-        stats = []
+        losses = []
         for _ in range(3):
             s = (rng.uniform(size=(3, 3)) > 0.5).astype(float)
-            stats.append(weighted_bce(s, t(rng.uniform(0.1, 0.9, size=(3, 3)))))
-        total = mean_loss(stats)
-        want = sum(st.value for st in stats) / 3.0
+            losses.append(weighted_bce(t(rng.uniform(0.1, 0.9, size=(3, 3))), s))
+        total = mean_loss(losses)
+        want = sum(float(loss.data) for loss in losses) / 3.0
         assert float(total.data) == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):

@@ -279,13 +279,6 @@ class TestIocs:
         want = readout(finals[0], embeddings[0], params.readout).data
         assert got.tobytes() == want.tobytes()
 
-    def test_group_chaining_sizes(self, dataset):
-        # 7 images, n' = 3: the other 6 run as 3 groups of 2
-        from agnnseg.pipeline import _near_equal_chunks
-
-        assert _near_equal_chunks(list(range(6)), 2) == [[0, 1], [2, 3], [4, 5]]
-        assert _near_equal_chunks(list(range(5)), 2) == [[0, 1], [2, 3], [4]]
-
     def test_repeat_runs_identical(self, dataset):
         params = init_model(channels=CHANNELS, downsample=4, seed=3, graph=K2)
         images = [load_video(dataset, e)[0][0] for e in dataset.split("coseg")[:5]]

@@ -21,6 +21,7 @@ from agnnseg.synthdata import (
     generate_dataset,
     load_manifest,
     load_video,
+    near_equal_runs,
     raster_shape,
     render_static_scene,
     render_video,
@@ -622,6 +623,20 @@ class TestSampleTrainingClip:
     def test_oversampling_rejected(self):
         with pytest.raises(ValueError, match="cannot sample"):
             sample_training_clip([1, 2], 3, np.random.default_rng(0))
+
+
+class TestNearEqualRuns:
+    def test_group_chaining_sizes(self):
+        # iocs_infer's cases: the other 6 (or 5) images at n' = 3 run as 3 groups of up to 2
+        assert near_equal_runs(list(range(6)), 3) == [[0, 1], [2, 3], [4, 5]]
+        assert near_equal_runs(list(range(5)), 3) == [[0, 1], [2, 3], [4]]
+        # in order, and the leading runs at most one longer
+        for n in range(1, 12):
+            for count in range(1, n + 1):
+                runs = near_equal_runs(list(range(n)), count)
+                assert sum(runs, []) == list(range(n))
+                sizes = [len(run) for run in runs]
+                assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
 class TestDownsampleMask:

@@ -148,9 +148,8 @@ def cli_digests(work):
 def library_digests(work):
     import numpy as np
 
-    from agnnseg.config import TrainConfig
     from agnnseg.model import init_model
-    from agnnseg.pipeline import evaluate, infer_video, iocs_infer, train
+    from agnnseg.pipeline import TrainConfig, evaluate, infer_video, iocs_infer, train
     from agnnseg.synthdata import generate_dataset, load_video
 
     manifest = generate_dataset(work / "data", seed=LIBRARY_SEED)

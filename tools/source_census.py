@@ -10,7 +10,10 @@ Imports ``agnnseg`` from ``SRC_DIR/src`` and from nowhere else, as
 * ``op_kinds``: ``engine.op_kinds()``;
 * ``fields``: the field names of ``TrainConfig``, ``EncoderConfig``,
   ``GraphConfig`` and ``SyntheticVideoSpec``, each setting a caller can
-  change.
+  change;
+* ``defaults``: the parameters that have a default, of each public function
+  defined in a module of ``agnnseg`` (by ``module.function``), and their
+  ``total``: the function knobs, counted as the fields are.
 
 Running it on the parent and the change of a simplification gives the
 before and after of each count.
@@ -18,6 +21,8 @@ before and after of each count.
 
 import argparse
 import dataclasses
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -26,22 +31,34 @@ from identity_digests import _import_program
 
 def census():
     import agnnseg
-    from agnnseg.config import TrainConfig
     from agnnseg.encoder import EncoderConfig
     from agnnseg.engine import op_kinds
     from agnnseg.graph import GraphConfig
+    from agnnseg.pipeline import TrainConfig
     from agnnseg.synthdata import SyntheticVideoSpec
 
     package = Path(agnnseg.__file__).resolve().parent
     lines = {}
+    defaults = {}
     for path in sorted(package.rglob("*.py")):
-        lines[str(path.relative_to(package.parent))] = path.read_bytes().count(b"\n")
+        relative = path.relative_to(package.parent)
+        lines[str(relative)] = path.read_bytes().count(b"\n")
+        module = importlib.import_module(".".join(relative.with_suffix("").parts))
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            knobs = [p.name for p in inspect.signature(fn).parameters.values()
+                     if p.default is not inspect.Parameter.empty]
+            if knobs:
+                defaults[f"{module.__name__}.{name}"] = knobs
     lines["total"] = sum(lines.values())
+    defaults["total"] = sum(len(knobs) for knobs in defaults.values())
     configs = (TrainConfig, EncoderConfig, GraphConfig, SyntheticVideoSpec)
     return {
         "source_lines": lines,
         "op_kinds": op_kinds(),
         "fields": {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in configs},
+        "defaults": defaults,
     }
 
 
