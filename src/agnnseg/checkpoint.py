@@ -21,10 +21,10 @@ FORMAT_VERSION = 1
 META_PREFIX = "meta."
 
 
-def write_checkpoint(path, named_arrays, meta=None):
+def write_checkpoint(path, named_arrays, meta):
     """Write (name, array) pairs plus scalar metadata, in the given order."""
     records = list(named_arrays)
-    for key, value in sorted((meta or {}).items()):
+    for key, value in sorted(meta.items()):
         records.append((META_PREFIX + key, np.asarray(float(value))))
     with open(path, "wb") as f:
         f.write(MAGIC)

@@ -111,8 +111,10 @@ def cmd_gen_data(args):
     downsample = _build(args.config, EncoderConfig, cfg).downsample
     if spec.canvas % downsample:
         raise ConfigError(f"canvas {spec.canvas} not divisible by downsample {downsample}")
+    # TrainConfig's rule checks seed, the one TrainConfig key gen-data reads
+    seed = _build(args.config, TrainConfig, {**parse_config(None), "seed": cfg["seed"]}).seed
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
-    generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
+    generate_dataset(out, seed=seed, num_frames=spec.num_frames, canvas=spec.canvas)
     print(out / "manifest.txt")
     return EXIT_OK
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import backward
-from .tensor import Tape, Tensor, suspend_taping
+from .tensor import Tape, suspend_taping
+
+EPS = 1e-5  # the central-difference step of every coordinate
 
 
 @dataclass
@@ -39,31 +41,32 @@ class GradCheckReport:
 def central_difference(fn, inputs, index, coord, eps):
     """d fn / d inputs[index][coord] by symmetric perturbation.
 
-    The coordinate is perturbed in place, bypassing the finite check that
-    assigning ``Tensor.data`` runs: ``orig +- eps`` stays finite for any eps
-    far below the float64 range, and ``finally`` restores ``orig``.
+    Each of the two runs gives the tensor a perturbed copy of its array, and
+    ``finally`` gives it back the original array object, which is never
+    written.
     """
     t = inputs[index]
-    orig = t.data[coord]
+    original = t.data
+    values = []
     try:
-        t.data[coord] = orig + eps
-        f_plus = float(fn(*inputs).data)
-        t.data[coord] = orig - eps
-        f_minus = float(fn(*inputs).data)
+        for step in (eps, -eps):
+            perturbed = original.copy()
+            perturbed[coord] += step
+            t.data = perturbed
+            values.append(float(fn(*inputs).data))
     finally:
-        t.data[coord] = orig
+        t.data = original
+    f_plus, f_minus = values
     return (f_plus - f_minus) / (2.0 * eps)
 
 
-def grad_check(fn, inputs, eps=1e-5):
+def grad_check(fn, inputs):
     """Check gradients of a scalar-valued ``fn`` w.r.t. every input coordinate.
 
     ``fn`` must map the given tensors to a one-element tensor; it is run once
     under a tape for the analytic gradients and twice per coordinate for the
-    central differences.  Raises for non-scalar outputs and eps <= 0.
+    central differences, with step EPS.  Raises for non-scalar outputs.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     with Tape() as tape:
         out = fn(*inputs)
     if out.data.size != 1:
@@ -74,7 +77,7 @@ def grad_check(fn, inputs, eps=1e-5):
         for i, t in enumerate(inputs):
             analytic = grads[t]
             for coord in np.ndindex(t.data.shape):
-                numeric = central_difference(fn, inputs, i, coord, eps)
+                numeric = central_difference(fn, inputs, i, coord, EPS)
                 a = float(analytic[coord])
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
                 if report.worst_input is None or rel > report.max_rel_err:

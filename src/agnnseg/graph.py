@@ -136,10 +136,10 @@ def message_gate(m, params: AttentionParams) -> Tensor:
     return engine.sigmoid(engine.global_avg_pool(engine.conv2d(m, params.gate_w, params.gate_b)))
 
 
-def aggregate_messages(messages, gates=None) -> Tensor:
+def aggregate_messages(messages, gates) -> Tensor:
     """Sum of incoming messages, in ascending node-index order.
 
-    With ``gates``, each message is first scaled per channel by its own gate.
+    With ``gates`` (None when ungated), each message is first scaled per channel by its gate.
     """
     if gates is not None and len(messages) != len(gates):
         raise ValueError(f"{len(messages)} messages but {len(gates)} gates")

@@ -42,19 +42,18 @@ def default_boundary_tolerance(shape):
     return max(1, int(round(0.0075 * diag)))
 
 
-def boundary_f(pred, gt, tolerance=None):
+def boundary_f(pred, gt):
     """F-measure of boundary precision/recall under a Chebyshev tolerance.
 
     A boundary pixel matches if any opposing boundary pixel lies within
-    Chebyshev distance ``tolerance``.  Two empty boundaries score 1, exactly
-    one empty scores 0.
+    Chebyshev distance ``default_boundary_tolerance`` of the mask shape.  Two
+    empty boundaries score 1, exactly one empty scores 0.
     """
     p = np.asarray(pred).astype(bool)
     g = np.asarray(gt).astype(bool)
     if p.shape != g.shape:
         raise ValueError(f"mask shapes differ: {p.shape} vs {g.shape}")
-    if tolerance is None:
-        tolerance = default_boundary_tolerance(p.shape)
+    tolerance = default_boundary_tolerance(p.shape)
     pb = boundary_pixels(p)
     gb = boundary_pixels(g)
     np_, ng = pb.sum(), gb.sum()

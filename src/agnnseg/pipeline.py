@@ -70,10 +70,12 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise FieldError(name, f"must be >= 1, got {value}")
-        if self.lr < 0:
-            raise FieldError("lr", f"must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < float("inf"):  # False for NaN too
+            raise FieldError("lr", f"must be finite and >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise FieldError("momentum", f"must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -116,11 +118,12 @@ def static_batch_loss(scenes, params):
 def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameters):
     """Optimize ``params`` (encoder, K and gating) in place on the train split.
 
-    Fewer than VIDEOS_PER_BATCH videos raise DatasetError, and a video whose
-    size the downsample factor does not divide raises CheckpointMismatchError
-    naming its directory.  Static and dynamic iterations alternate, static on
-    even steps.  Returns the trained parameters and one loss per iteration;
-    raises DivergenceError the moment anything goes non-finite.
+    Fewer than VIDEOS_PER_BATCH videos raise DatasetError, and so does a video
+    with fewer than ``config.n_prime`` frames; a video whose size the
+    downsample factor does not divide raises CheckpointMismatchError.  Both
+    name the video's directory.  Static and dynamic iterations alternate,
+    static on even steps.  Returns the trained parameters and one loss per
+    iteration; raises DivergenceError the moment anything goes non-finite.
     """
     where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
@@ -132,6 +135,9 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
     videos = [load_video(manifest, e) for e in entries]
     for entry, (frames, _) in zip(entries, videos):
         check_fits(params, frames, manifest.video_dir(entry))
+        if len(frames) < config.n_prime:
+            raise DatasetError(f"{manifest.video_dir(entry)}: {len(frames)} frames, fewer than "
+                               f"the {config.n_prime} a training clip samples")
     canvas = videos[0][0].shape[1]
     # uint8 frames and grid targets; encode scales the sampled clip frames
     videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
@@ -173,24 +179,15 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
 # inference scheduling
 
 
-@dataclass
-class InferenceSchedule:
-    """Strided subsets I_t = {t, t+T, t+2T, ...} with T = ceil(N / N')."""
-
-    num_frames: int
-    n_prime: int
-    stride: int = field(init=False)
-    subsets: list = field(init=False)
-
-    def __post_init__(self):
-        if self.num_frames < 1:
-            raise ValueError("schedule needs at least one frame")
-        if self.n_prime < 1:
-            raise ValueError("n_prime must be >= 1")
-        self.stride = -(-self.num_frames // self.n_prime)
-        self.subsets = [
-            list(range(t, self.num_frames, self.stride)) for t in range(self.stride)
-        ]
+def strided_subsets(num_frames, n_prime):
+    """Strided subsets I_t = {t, t+T, t+2T, ...} with T = ceil(N / N'); they
+    partition the frames 0..N-1, and none holds more than N'."""
+    if num_frames < 1:
+        raise ValueError("schedule needs at least one frame")
+    if n_prime < 1:
+        raise ValueError("n_prime must be >= 1")
+    stride = -(-num_frames // n_prime)
+    return [list(range(t, num_frames, stride)) for t in range(stride)]
 
 
 def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME):
@@ -203,9 +200,8 @@ def infer_video(frames, params: ModelParameters, n_prime=TEST_N_PRIME):
     frames = list(frames)
     if not frames:
         raise ValueError("cannot run inference on an empty video")
-    schedule = InferenceSchedule(len(frames), n_prime)
     out = [None] * len(frames)
-    for subset in schedule.subsets:
+    for subset in strided_subsets(len(frames), n_prime):
         maps = predict_clip([frames[t] for t in subset], params)
         for t, m in zip(subset, maps):
             out[t] = m.data

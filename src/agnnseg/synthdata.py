@@ -7,7 +7,8 @@ only in a strict subset of frames.  Shapes are rasterized with hard edges on
 pixel centres so mask areas are exact.  All randomness derives from seeds;
 regenerating with the same seed reproduces every byte.  The scene constants
 DISTRACTOR_COUNT, FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC,
-SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC and MIN_COLOR_DIST are fixed; each is
+SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC and MIN_COLOR_DIST and the dataset
+sizes TRAIN_VIDEOS, TEST_VIDEOS and COSEG_IMAGES_PER_CLASS are fixed; each is
 described where it is set.
 """
 
@@ -33,6 +34,9 @@ SCALE_RANGE = (0.7, 1.3)  # per-frame scale factor of the semi-axes
 NOISE_AMP = 0.03  # half-width of the uniform pixel noise, in [0, 1] intensity
 MIN_AREA_FRAC = 0.02  # smallest foreground area, as a fraction of the canvas area
 MIN_COLOR_DIST = 0.45  # smallest L1 distance of a shape colour from the background base
+TRAIN_VIDEOS = 20  # videos in a generated train split
+TEST_VIDEOS = 5  # videos in a generated test split
+COSEG_IMAGES_PER_CLASS = 40  # co-segmentation images per shape class
 
 
 def _check_scene(canvas, shape_class):
@@ -249,16 +253,10 @@ def _video_seed(seed, split, index):
     return np.random.SeedSequence((seed, _SPLIT_STREAMS[split], index)).generate_state(1)[0]
 
 
-def generate_dataset(
-    out_dir,
-    seed=0,
-    train_videos=20,
-    test_videos=5,
-    num_frames=SyntheticVideoSpec.num_frames,
-    canvas=SyntheticVideoSpec.canvas,
-    coseg_images_per_class=40,
-):
-    """Write train/test videos plus co-segmentation groups; returns the manifest.
+def generate_dataset(out_dir, seed, num_frames=SyntheticVideoSpec.num_frames,
+                     canvas=SyntheticVideoSpec.canvas):
+    """Write TRAIN_VIDEOS train and TEST_VIDEOS test videos plus
+    COSEG_IMAGES_PER_CLASS co-segmentation images per class; returns the manifest.
 
     Foreground classes cycle round-robin over videos so every split covers
     all classes.  Co-seg images are stored as one-frame videos grouped by
@@ -274,7 +272,7 @@ def generate_dataset(
         raise OSError(f"output directory {root} is not writable: {exc}") from exc
 
     entries = []
-    for split, count in (("train", train_videos), ("test", test_videos)):
+    for split, count in (("train", TRAIN_VIDEOS), ("test", TEST_VIDEOS)):
         for i in range(count):
             spec = SyntheticVideoSpec(
                 num_frames=num_frames,
@@ -289,7 +287,7 @@ def generate_dataset(
 
     index = 0
     for cls in SHAPE_CLASSES:
-        for _ in range(coseg_images_per_class):
+        for _ in range(COSEG_IMAGES_PER_CLASS):
             frame, mask, _ = render_static_scene(
                 canvas, int(_video_seed(seed, "coseg", index)), shape_class=cls
             )

@@ -3,7 +3,8 @@
 Everything here is written with plain Python loops and ``math`` so it shares
 no code path with the engine kernels it is used to validate.  Slow on
 purpose; only run on tiny shapes.  ``tree_hash`` digests a directory tree's
-relative paths and bytes, for byte-identity checks on written files.  The
+relative paths and bytes, for byte-identity checks on written files, and
+``cut_manifest`` shrinks a generated dataset's splits for tests.  The
 scene rasterizers and the background gradient are index-grid (``np.mgrid``)
 references for the broadcast versions in ``agnnseg.synthdata``, and
 ``im2col_loops`` pads with ``np.pad`` before its window loop.
@@ -24,6 +25,19 @@ def tree_hash(root):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def cut_manifest(manifest, **counts):
+    """``manifest`` keeping the first ``counts[split]`` videos of each split
+    named, and other splits whole, written over its ``manifest.txt``.  The
+    files of the videos left out stay on disk."""
+    from agnnseg.synthdata import DatasetManifest, write_manifest
+
+    splits = dict.fromkeys(e.split for e in manifest.entries)
+    kept = [e for split in splits for e in manifest.split(split)[:counts.get(split)]]
+    cut = DatasetManifest(manifest.root, kept)
+    write_manifest(cut)
+    return cut
 
 
 def raster_ellipse_grid(canvas, cy, cx, ry, rx):

@@ -53,7 +53,7 @@ class TestWireFormat:
 
     def test_layout_bytes(self, tmp_path):
         path = tmp_path / "x.agnn"
-        write_checkpoint(path, [("w", np.array([1.0, 2.0]))])
+        write_checkpoint(path, [("w", np.array([1.0, 2.0]))], {})
         blob = path.read_bytes()
         assert blob[:4] == b"AGNN"
         assert struct.unpack_from("<I", blob, 4)[0] == 1
@@ -66,7 +66,7 @@ class TestWireFormat:
 
     def test_scalar_record_is_rank_zero(self, tmp_path):
         path = tmp_path / "s.agnn"
-        write_checkpoint(path, [("alpha", np.asarray(1.5))])
+        write_checkpoint(path, [("alpha", np.asarray(1.5))], {})
         blob = path.read_bytes()
         name_len = struct.unpack_from("<I", blob, 8)[0]
         rank = struct.unpack_from("<I", blob, 12 + name_len)[0]
@@ -88,7 +88,7 @@ class TestWireFormat:
 
     def test_truncated_payload_reports_position(self, tmp_path):
         path = tmp_path / "t.agnn"
-        write_checkpoint(path, [("w", np.ones(4))])
+        write_checkpoint(path, [("w", np.ones(4))], {})
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated payload"):
@@ -97,7 +97,7 @@ class TestWireFormat:
 
     def test_meta_record_of_rank_one_rejected(self, tmp_path):
         path = tmp_path / "m.agnn"
-        write_checkpoint(path, [("meta.k_iters", np.array([3.0, 3.0]))])
+        write_checkpoint(path, [("meta.k_iters", np.array([3.0, 3.0]))], {})
         # magic, version, name length, 12-byte name: the rank word is at byte 24
         with pytest.raises(FormatError, match="meta record 'meta.k_iters' has rank 1.*byte 24"):
             read_checkpoint(path)
@@ -156,7 +156,7 @@ class TestModelRoundTrip:
         from agnnseg.checkpoint import write_checkpoint as wc
 
         path = tmp_path / "nometa.agnn"
-        wc(path, [(n, t.data) for n, t in params.named_tensors()])
+        wc(path, [(n, t.data) for n, t in params.named_tensors()], {})
         with pytest.raises(CheckpointMismatchError, match="meta"):
             load_model(path)
 

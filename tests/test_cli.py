@@ -13,7 +13,7 @@ from agnnseg.graph import MAX_K_ITERS, GraphConfig
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.pipeline import TrainConfig, TrainResult
 from agnnseg.synthdata import generate_dataset
-from oracles import tree_hash
+from oracles import cut_manifest, tree_hash
 
 
 def write_config(path, **kv):
@@ -48,8 +48,7 @@ def nan_checkpoint(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("clidata")
-    generate_dataset(out, seed=2, train_videos=2, test_videos=1, num_frames=5,
-                     canvas=32, coseg_images_per_class=1)
+    cut_manifest(generate_dataset(out, seed=2, num_frames=5, canvas=32), train=2, test=1)
     return out
 
 
@@ -119,6 +118,10 @@ class TestConfig:
         ("train", "downsample", 2),
         ("train", "channels", 0),
         ("gen-data", "frames_per_video", 0),
+        ("gen-data", "seed", -1),
+        ("train", "seed", -1),
+        ("train", "lr", float("nan")),
+        ("train", "lr", float("inf")),
     ])
     def test_out_of_range_value_exit_1(self, tmp_path, tiny_dataset, capsys, command, key, value):
         path = write_config(tmp_path / "c.cfg", **{key: value})
@@ -128,8 +131,13 @@ class TestConfig:
             argv += ["--data", str(tiny_dataset)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert err.startswith(f"config error: {path}: {key} ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_gen_data_ignores_train_only_keys(self, tmp_path):
+        # of TrainConfig's keys gen-data reads seed alone, and checks no other
+        path = write_config(tmp_path / "c.cfg", **SMALL, lr=float("nan"), momentum=2.0)
+        assert main(["gen-data", "--config", path, "--out", str(tmp_path / "d")]) == 0
 
     @pytest.mark.parametrize("command, key", [
         ("train", "iters"),
@@ -205,8 +213,7 @@ class TestTrain:
 
     def test_canvas_not_divisible_by_downsample_exit_4(self, tmp_path, capsys):
         data = tmp_path / "data"
-        generate_dataset(data, seed=0, train_videos=2, test_videos=0, num_frames=2,
-                         canvas=36, coseg_images_per_class=0)
+        generate_dataset(data, seed=0, num_frames=2, canvas=36)
         cfg = write_config(tmp_path / "c.cfg", channels=4, downsample=8)
         code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 4
@@ -218,13 +225,13 @@ class TestTrain:
     def test_indivisible_train_video_named_exit_4(self, tmp_path, capsys):
         from agnnseg import pnm
         data = tmp_path / "data"
-        generate_dataset(data, seed=0, train_videos=2, test_videos=0, num_frames=2,
-                         canvas=32, coseg_images_per_class=0)
+        generate_dataset(data, seed=0, num_frames=2, canvas=32)
         odd = data / "train" / "video_0001"
         for t in range(2):
             pnm.write_ppm(odd / f"frame_{t:04d}.ppm", np.zeros((18, 18, 3), dtype=np.uint8))
             pnm.write_pgm(odd / f"mask_{t:04d}.pgm", np.zeros((18, 18), dtype=bool))
-        cfg = write_config(tmp_path / "c.cfg", channels=4)
+        # clips of 2 frames, so the 2-frame videos fail only on their size
+        cfg = write_config(tmp_path / "c.cfg", channels=4, n_prime_train=2)
         code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 4
         assert capsys.readouterr().err == (
@@ -246,13 +253,23 @@ class TestTrain:
 
     def test_too_few_train_videos_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
-        generate_dataset(data, seed=0, train_videos=1, test_videos=0, num_frames=2,
-                         canvas=32, coseg_images_per_class=0)
+        cut_manifest(generate_dataset(data, seed=0, num_frames=2, canvas=32), train=1)
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"i/o error: {data / 'manifest.txt'}: train split has 1 videos, need >= 2\n")
         assert not (tmp_path / "run").exists()
+
+    def test_n_prime_above_a_video_length_exit_2(self, tmp_path, tiny_dataset, capsys):
+        # tiny_dataset's videos have 5 frames; a 6-frame clip cannot be sampled
+        cfg = write_config(tmp_path / "c.cfg", channels=4, n_prime_train=6)
+        out = tmp_path / "run"
+        code = main(["train", "--config", cfg, "--data", str(tiny_dataset), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {tiny_dataset / 'train' / 'video_0000'}: 5 frames, fewer than the 6 "
+            "a training clip samples\n")
+        assert not out.exists()
 
     def test_divergence_exit_3(self, tmp_path, tiny_dataset, capsys):
         # an absurd learning rate overflows the forward pass within a few steps
@@ -442,8 +459,7 @@ class TestEval:
 
     def test_canvas_not_divisible_by_downsample_exit_4(self, tmp_path, capsys):
         data = tmp_path / "data"
-        generate_dataset(data, seed=0, train_videos=0, test_videos=1, num_frames=2,
-                         canvas=36, coseg_images_per_class=0)
+        generate_dataset(data, seed=0, num_frames=2, canvas=36)
         checkpoint = tmp_path / "d8.agnn"
         save_model(checkpoint, init_model(channels=4, downsample=8, seed=0))
         code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
@@ -496,7 +512,7 @@ class TestMalformedFiles:
     def test_checkpoint_meta_record_of_rank_one(self, tmp_path, tiny_dataset, capsys):
         from agnnseg.checkpoint import write_checkpoint
         bad = tmp_path / "rank1.agnn"
-        write_checkpoint(bad, [("meta.k_iters", np.ones(2))])
+        write_checkpoint(bad, [("meta.k_iters", np.ones(2))], {})
         code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
         assert "has rank 1" in self.assert_format_error(capsys, code, bad)
 

@@ -498,7 +498,7 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         for _ in range(20):
             fn, inputs = _random_composite(rng)
-            report = grad_check(fn, inputs, eps=1e-5)
+            report = grad_check(fn, inputs)
             assert report.max_rel_err < 1e-6, str(report)
 
     def test_each_op_kind_against_finite_differences(self):
@@ -506,7 +506,7 @@ class TestGradCheck:
         for trial in range(100):
             kind = engine.op_kinds()[trial % len(engine.op_kinds())]
             fn, inputs = _scalarized_op(kind, rng)
-            report = grad_check(fn, inputs, eps=1e-5)
+            report = grad_check(fn, inputs)
             assert report.max_rel_err < 1e-6, f"{kind}: {report}"
 
     def test_non_scalar_rejected(self):
@@ -528,9 +528,31 @@ class TestGradCheck:
         for x, want in zip((a, b), before):
             assert x.data.tobytes() == want.tobytes()
 
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            grad_check(lambda a: a, [t(1.0)], eps=0.0)
+    def test_central_difference_perturbs_a_copy(self):
+        # fn sees a perturbed copy each run; the caller's array is never
+        # written, not even while fn runs, and is the tensor's array afterwards
+        rng = np.random.default_rng(13)
+        target = (rng.uniform(size=(2, 3)) > 0.5).astype(float)
+        a, b = t(rng.normal(size=(2, 3))), t(rng.normal())
+        original = a.data
+        before = original.copy()
+        seen = []
+
+        def fn(a_, b_):
+            seen.append(a_.data)
+            assert original.tobytes() == before.tobytes()
+            return engine.weighted_bce(engine.sigmoid(engine.mul(a_, b_)), target)
+
+        engine.central_difference(fn, [a, b], 0, (1, 2), 1e-5)
+        assert [arr is original for arr in seen] == [False, False]
+        assert [arr[1, 2] for arr in seen] == [before[1, 2] + 1e-5, before[1, 2] - 1e-5]
+        assert a.data is original and original.tobytes() == before.tobytes()
+        # grad_check: one taped run on the original, then two copies per coordinate
+        seen.clear()
+        grad_check(fn, [a, b])
+        runs_on_a = 1 + 2 * original.size
+        assert [arr is original for arr in seen[:runs_on_a]] == [True] + [False] * (runs_on_a - 1)
+        assert a.data is original and original.tobytes() == before.tobytes()
 
 
 def _sum_to_scalar_zero(a):

@@ -206,7 +206,7 @@ class TestAggregate:
     def test_without_gates_adds_in_node_order(self):
         rng = np.random.default_rng(37)
         msgs = [random_state(rng) for _ in range(3)]
-        out = aggregate_messages(msgs).data
+        out = aggregate_messages(msgs, None).data
         assert out.tobytes() == ((msgs[0].data + msgs[1].data) + msgs[2].data).tobytes()
 
     def test_length_mismatch_rejected(self):
@@ -384,7 +384,7 @@ class TestRounds:
             return engine.reshape(engine.matmul(engine.tanh(total), ones), ())
 
         check_tensors = [h0, h1, p.w_f, p.alpha, p.w_c, p.gate_w, p.w_z, p.w_u]
-        report = grad_check(fn, check_tensors, eps=1e-5)
+        report = grad_check(fn, check_tensors)
         assert report.max_rel_err < 1e-4, str(report)
 
 

@@ -66,37 +66,35 @@ class TestBoundaryPixels:
 class TestBoundaryF:
     def test_identical(self):
         m = square_mask(12, 12, 3, 3, 5)
-        assert boundary_f(m, m, tolerance=1) == 1.0
+        assert boundary_f(m, m) == 1.0
 
     def test_one_empty(self):
         m = square_mask(12, 12, 3, 3, 5)
         z = np.zeros((12, 12), dtype=bool)
-        assert boundary_f(m, z, tolerance=1) == 0.0
-        assert boundary_f(z, m, tolerance=1) == 0.0
+        assert boundary_f(m, z) == 0.0
+        assert boundary_f(z, m) == 0.0
 
     def test_both_empty(self):
         z = np.zeros((6, 6), dtype=bool)
-        assert boundary_f(z, z, tolerance=1) == 1.0
+        assert boundary_f(z, z) == 1.0
 
     def test_one_pixel_shift_within_tolerance(self):
         a = square_mask(16, 16, 4, 4, 6)
         b = square_mask(16, 16, 4, 5, 6)
-        assert boundary_f(a, b, tolerance=1) == 1.0
+        assert boundary_f(a, b) == 1.0
 
     def test_shift_beyond_tolerance_penalized(self):
         a = square_mask(24, 24, 4, 4, 6)
         b = square_mask(24, 24, 4, 9, 6)
-        assert boundary_f(a, b, tolerance=1) < 1.0
+        assert boundary_f(a, b) < 1.0
 
     def test_matches_brute_force_distance_check(self):
+        # 12x12 masks: the default tolerance is 1
         rng = np.random.default_rng(0)
         for _ in range(10):
             a = rng.uniform(size=(12, 12)) > 0.6
             b = rng.uniform(size=(12, 12)) > 0.6
-            for tol in (1, 2):
-                got = boundary_f(a, b, tolerance=tol)
-                want = _brute_force_f(a, b, tol)
-                assert got == pytest.approx(want, abs=1e-12)
+            assert boundary_f(a, b) == pytest.approx(_brute_force_f(a, b, 1), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -108,8 +106,17 @@ class TestBoundaryF:
         b = data.draw(arrays(np.bool_, a.shape))
         np.testing.assert_array_equal(dilate(a, radius), oracles.chebyshev_dilate_loops(a, radius))
         with mock.patch.object(metrics, "dilate", oracles.chebyshev_dilate_loops):
-            want = boundary_f(a, b, tolerance=radius)
-        assert boundary_f(a, b, tolerance=radius) == want
+            want = boundary_f(a, b)
+        assert boundary_f(a, b) == want
+
+    @pytest.mark.parametrize("side, want", [(200, 1.0), (130, 25 / 49)])  # 25/49 = 0.510
+    def test_tolerance_follows_the_image_size(self, side, want):
+        # a 50-pixel square shifted by 2 pixels: within the 2-pixel tolerance
+        # of a 200x200 image, beyond the 1-pixel tolerance of a 130x130 one
+        a = square_mask(side, side, 40, 40, 50)
+        b = square_mask(side, side, 40, 42, 50)
+        assert default_boundary_tolerance(a.shape) == {200: 2, 130: 1}[side]
+        assert boundary_f(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_default_tolerance(self):
         assert default_boundary_tolerance((64, 64)) == 1

@@ -15,12 +15,12 @@ from agnnseg.head import readout
 from agnnseg.model import encode_frames, init_model, load_model, save_model
 from agnnseg.pipeline import (
     SGD,
-    InferenceSchedule,
     TrainConfig,
     dynamic_batch_loss,
     evaluate,
     infer_video,
     iocs_infer,
+    strided_subsets,
     train,
 )
 from agnnseg.synthdata import (
@@ -30,6 +30,7 @@ from agnnseg.synthdata import (
     load_video,
     render_static_scene,
 )
+from oracles import cut_manifest
 
 
 CHANNELS = 6
@@ -40,8 +41,8 @@ K2 = GraphConfig(k_iters=2)
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe_data")
-    return generate_dataset(out, seed=3, train_videos=4, test_videos=2,
-                            num_frames=6, canvas=CANVAS, coseg_images_per_class=2)
+    return cut_manifest(generate_dataset(out, seed=3, num_frames=6, canvas=CANVAS),
+                        train=4, test=2)
 
 
 def quick_config(**overrides):
@@ -56,27 +57,27 @@ def small_model(config, downsample=4):
 
 class TestSchedule:
     def test_single_subset(self):
-        s = InferenceSchedule(5, 5)
-        assert s.stride == 1
-        assert s.subsets == [[0, 1, 2, 3, 4]]
+        assert strided_subsets(5, 5) == [[0, 1, 2, 3, 4]]
 
     def test_strided_subsets(self):
-        s = InferenceSchedule(10, 5)
-        assert s.stride == 2
-        assert s.subsets == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        assert strided_subsets(10, 5) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
 
     def test_ragged_subsets(self):
-        s = InferenceSchedule(7, 5)
-        assert s.stride == 2
-        assert s.subsets == [[0, 2, 4, 6], [1, 3, 5]]
+        assert strided_subsets(7, 5) == [[0, 2, 4, 6], [1, 3, 5]]
 
     @given(n=st.integers(1, 50), n_prime=st.integers(1, 7))
     @settings(max_examples=200, deadline=None)
     def test_partition_property(self, n, n_prime):
-        s = InferenceSchedule(n, n_prime)
-        seen = [t for subset in s.subsets for t in subset]
+        subsets = strided_subsets(n, n_prime)
+        seen = [t for subset in subsets for t in subset]
         assert sorted(seen) == list(range(n))
-        assert max(len(subset) for subset in s.subsets) <= max(n_prime, 1)
+        assert max(len(subset) for subset in subsets) <= max(n_prime, 1)
+
+    @pytest.mark.parametrize("n, n_prime, match", [(0, 5, "at least one frame"),
+                                                   (5, 0, "n_prime must be >= 1")])
+    def test_bad_sizes_rejected(self, n, n_prime, match):
+        with pytest.raises(ValueError, match=match):
+            strided_subsets(n, n_prime)
 
 
 class TestTraining:

@@ -34,7 +34,7 @@ from oracles import tree_hash
 
 # Pinned digests of generated bytes: any change to data generation, down to
 # one rounding step, changes the data every model trains and is scored on.
-SMALL_DATASET_TREE = "8c10149e8f1412ad2c59bae345b8ee39f24f0f0ecd3566e28106f2b49d84098e"
+SMALL_DATASET_TREE = "b2044f611e08daf8f659f1b4e233d300a74783d724e581e5f190819cad26bf2f"
 STATIC_SCENE_32 = {
     0: "e63a5910188c72a833d89665501ff7a7c730699d2608eaf6bdb3e985934fcfe8",
     1: "f4d3ca18caef4631fa94e5f4b4d68e7518fa86ec45c4e98bd3b625b3661f371a",
@@ -46,11 +46,7 @@ STATIC_SCENE_32 = {
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    manifest = generate_dataset(
-        out, seed=7, train_videos=3, test_videos=2, num_frames=6, canvas=32,
-        coseg_images_per_class=2,
-    )
-    return manifest
+    return generate_dataset(out, seed=7, num_frames=6, canvas=32)
 
 
 @pytest.fixture(scope="module")
@@ -382,8 +378,7 @@ class TestRasterizers:
 
 class TestDataset:
     def test_regeneration_is_byte_identical(self, tmp_path):
-        kwargs = dict(seed=5, train_videos=2, test_videos=1, num_frames=4, canvas=32,
-                      coseg_images_per_class=1)
+        kwargs = dict(seed=5, num_frames=4, canvas=32)
         generate_dataset(tmp_path / "a", **kwargs)
         generate_dataset(tmp_path / "b", **kwargs)
         assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
@@ -391,13 +386,17 @@ class TestDataset:
     def test_bytes_match_the_pinned_digest(self, small_dataset):
         assert tree_hash(small_dataset.root) == SMALL_DATASET_TREE
 
+    def test_split_sizes_are_the_module_constants(self, small_dataset):
+        sizes = [len(small_dataset.split(name)) for name in ("train", "test", "coseg")]
+        assert sizes == [synthdata.TRAIN_VIDEOS, synthdata.TEST_VIDEOS,
+                         synthdata.COSEG_IMAGES_PER_CLASS * len(SHAPE_CLASSES)]
+
     def test_manifest_round_trip(self, small_dataset):
         loaded = load_manifest(small_dataset.root)
         assert loaded.entries == small_dataset.entries
 
     def test_missing_file_detected(self, tmp_path):
-        manifest = generate_dataset(tmp_path, seed=1, train_videos=1, test_videos=1,
-                                    num_frames=2, canvas=32, coseg_images_per_class=1)
+        manifest = generate_dataset(tmp_path, seed=1, num_frames=2, canvas=32)
         victim = manifest.video_dir(manifest.split("train")[0]) / "mask_0001.pgm"
         victim.unlink()
         with pytest.raises(OSError, match="missing"):
@@ -407,8 +406,7 @@ class TestDataset:
         # a real dataset under the manifest, so lines naming its videos can load,
         # and a copy of one video outside it, which lines must not reach
         root = tmp_path_factory.mktemp("manifest_fuzz") / "data"
-        generate_dataset(root, seed=1, train_videos=1, test_videos=1, num_frames=2,
-                         canvas=32, coseg_images_per_class=1)
+        generate_dataset(root, seed=1, num_frames=2, canvas=32)
         shutil.copytree(root / "train" / "video_0000", root.parent / "outside")
         path = root / "manifest.txt"
         junk = st.text(alphabet="a0 \r.-/_\x00é", max_size=6)
@@ -502,14 +500,13 @@ class TestDataset:
             groups.setdefault(e.shape_class, []).append(e)
         assert set(groups) == set(SHAPE_CLASSES)
         for cls, members in groups.items():
-            assert len(members) == 2
+            assert len(members) == synthdata.COSEG_IMAGES_PER_CLASS
 
     def test_unwritable_out_dir_rejected(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
         with pytest.raises(OSError):
-            generate_dataset(blocker / "sub", seed=0, train_videos=1, test_videos=0,
-                             num_frames=1, canvas=32, coseg_images_per_class=0)
+            generate_dataset(blocker / "sub", seed=0, num_frames=1, canvas=32)
 
     def test_loaded_frames_in_range(self, small_dataset):
         entry = small_dataset.split("train")[0]
