@@ -14,6 +14,9 @@ and seed from TrainConfig.n_prime, .lr, .momentum, .iterations and .seed
 Only gen-data reads canvas and frames_per_video, and checks that downsample
 divides canvas.  The checkpoint carries channels, downsample, K and the
 gating to infer and eval.
+
+infer reads the frames of --video-dir DIR from DIR/frames.ppm, P6 images back
+to back as gen-data writes them (``cat frame_*.ppm > frames.ppm`` makes one).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .graph import GraphConfig
 from .model import CheckpointMismatchError, check_fits, init_model, load_model, save_model
 from .pipeline import (COSEG_N_PRIME, MASK_THRESHOLD, TEST_N_PRIME, DivergenceError,
                        TrainConfig, evaluate, infer_video, iocs_infer, train)
-from .synthdata import SyntheticVideoSpec, bilinear_upsample, generate_dataset, load_manifest
+from .synthdata import (FRAMES_FILE, SyntheticVideoSpec, bilinear_upsample, generate_dataset,
+                        load_manifest)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -143,16 +147,9 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_frames_dir(video_dir):
-    paths = sorted(Path(video_dir).glob("frame_*.ppm"))
-    if not paths:
-        raise OSError(f"no frame_*.ppm files in {video_dir}")
-    return pnm.read_stack(paths, pnm.read_ppm)
-
-
 def cmd_infer(args):
     params = load_model(args.checkpoint)
-    frames = _load_frames_dir(args.video_dir)
+    frames = pnm.read_ppm(Path(args.video_dir) / FRAMES_FILE)
     check_fits(params, frames, args.video_dir)
     coseg = args.task == "coseg"
     default = COSEG_N_PRIME if coseg else TEST_N_PRIME
@@ -168,7 +165,7 @@ def cmd_infer(args):
     height, width = frames.shape[1:3]
     for i, prob in enumerate(probs):
         up = bilinear_upsample(prob, params.downsample)[:height, :width]
-        pnm.write_pgm(out / f"pred_{i:04d}.pgm", up > MASK_THRESHOLD)
+        pnm.write_pgm(out / f"pred_{i:04d}.pgm", (up > MASK_THRESHOLD)[None])
     print(out)
     return EXIT_OK
 
@@ -199,9 +196,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("infer", help="write predicted masks for a frame directory")
+    p = sub.add_parser("infer", help="write predicted masks for a video directory")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--video-dir", required=True)
+    p.add_argument("--video-dir", required=True, help="directory whose frames.ppm holds the "
+                   "frames as P6 images back to back (cat frame_*.ppm > frames.ppm makes one)")
     p.add_argument("--out", required=True)
     p.add_argument("--n-prime", type=int,
                    help=f"nodes per graph (default {TEST_N_PRIME}, or {COSEG_N_PRIME} for coseg)")

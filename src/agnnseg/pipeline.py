@@ -121,9 +121,11 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
     Fewer than VIDEOS_PER_BATCH videos raise DatasetError, and so does a video
     with fewer than ``config.n_prime`` frames; a video whose size the
     downsample factor does not divide raises CheckpointMismatchError.  Both
-    name the video's directory.  Static and dynamic iterations alternate,
-    static on even steps.  Returns the trained parameters and one loss per
-    iteration; raises DivergenceError the moment anything goes non-finite.
+    name the video's directory.  Videos are loaded and checked one at a
+    time, so a bad video is reported before any later video is read.  Static
+    and dynamic iterations alternate, static on even steps.  Returns the
+    trained parameters and one loss per iteration; raises DivergenceError
+    the moment anything goes non-finite.
     """
     where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
@@ -132,15 +134,16 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
             f"{where}: train split has {len(entries)} videos, need >= {VIDEOS_PER_BATCH}"
         )
     downsample = params.downsample
-    videos = [load_video(manifest, e) for e in entries]
-    for entry, (frames, _) in zip(entries, videos):
+    # uint8 frames and grid targets; encode scales the sampled clip frames
+    videos = []
+    for entry in entries:
+        frames, masks = load_video(manifest, entry)
         check_fits(params, frames, manifest.video_dir(entry))
         if len(frames) < config.n_prime:
             raise DatasetError(f"{manifest.video_dir(entry)}: {len(frames)} frames, fewer than "
                                f"the {config.n_prime} a training clip samples")
+        videos.append((frames, downsample_mask(masks, downsample)))
     canvas = videos[0][0].shape[1]
-    # uint8 frames and grid targets; encode scales the sampled clip frames
-    videos = [(frames, downsample_mask(masks, downsample)) for frames, masks in videos]
 
     optimizer = SGD(params.named_tensors(), config.lr, config.momentum)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 17)))

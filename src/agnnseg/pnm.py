@@ -1,19 +1,24 @@
 """Binary portable pixmap / graymap files (P6 frames, P5 masks).
 
-Writers emit the minimal canonical header ``P6\\n<w> <h>\\n255\\n`` so a
+A file holds one or more images back to back, with nothing between them: the
+Netpbm multi-image format, so ``cat frame_*.ppm > frames.ppm`` turns one-image
+files into one multi-image file.  Writers take a stack of images and emit the
+minimal canonical header ``P6\\n<w> <h>\\n255\\n`` before each one, so a
 write-read round trip is byte-exact.  The reader accepts standard whitespace
-and ``#`` comments in the header, requires maxval 255, and reports the byte
-position of anything malformed.  Each header integer is matched, with the
-whitespace and comments before it, by one compiled regular expression.
-``read_stack`` decodes a whole video's files, all of one size, into one
-preallocated uint8 array.  It parses only the first file's header: a later
-file whose length and header bytes equal the first file's is read straight
-into its row of the array, and any other file goes through the full parse.
+and ``#`` comments in every header, requires maxval 255 and one image size
+throughout, and reports the absolute byte position of anything malformed;
+bytes after an image that do not begin with the magic are trailing data.
+Each header integer is matched, with the whitespace and comments before it,
+by one compiled regular expression.
+
+A file is read with one ``read`` and only its first header is parsed when
+the file is T copies of that header, each followed by one payload: all T
+headers are then compared at once on a (T, header + payload) view of the
+bytes.  Any other file is parsed image by image.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -25,27 +30,29 @@ _WHITESPACE = b" \t\r\n\v\f"
 _HEADER_INT = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*)*(\d*)")
 
 
-def write_ppm(path, pixels):
-    """Write an (H, W, 3) uint8 array as a binary P6 file."""
-    arr = np.asarray(pixels)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise ValueError(f"P6 payload must be (H, W, 3) uint8, got {arr.shape} {arr.dtype}")
-    h, w, _ = arr.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(arr.tobytes())
+def write_ppm(path, frames):
+    """Write a (T, H, W, 3) uint8 stack as T binary P6 images in one file."""
+    arr = np.asarray(frames)
+    if arr.ndim != 4 or arr.shape[3] != 3 or arr.dtype != np.uint8:
+        raise ValueError(f"P6 stack must be (T, H, W, 3) uint8, got {arr.shape} {arr.dtype}")
+    _write(path, b"P6", arr)
 
 
-def write_pgm(path, mask):
-    """Write a binary mask as P5 with foreground 255 and background 0."""
-    arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise ValueError(f"P5 payload must be 2-D, got shape {arr.shape}")
-    data = np.where(arr.astype(bool), np.uint8(255), np.uint8(0))
-    h, w = data.shape
+def write_pgm(path, masks):
+    """Write a (T, H, W) stack of binary masks as T P5 images of 255 and 0."""
+    arr = np.asarray(masks)
+    if arr.ndim != 3:
+        raise ValueError(f"P5 stack must be 3-D, got shape {arr.shape}")
+    _write(path, b"P5", np.where(arr.astype(bool), np.uint8(255), np.uint8(0)))
+
+
+def _write(path, magic, images):
+    height, width = images.shape[1:3]
+    header = b"%s\n%d %d\n255\n" % (magic, width, height)
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(data.tobytes())
+        for image in images:
+            f.write(header)
+            f.write(image.tobytes())
 
 
 class _Parser:
@@ -68,84 +75,65 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             self.fail(f"integer of {len(digits)} digits is too long")
 
+    def image(self, magic, samples):
+        """Parse the image at ``pos``; returns its shape, with ``pos`` past its payload."""
+        blob = self.blob
+        if blob[self.pos : self.pos + 2] != magic:
+            self.fail(f"bad magic {blob[self.pos : self.pos + 2]!r}, expected {magic!r}")
+        self.pos += 2
+        width = self.read_int()
+        height = self.read_int()
+        if width <= 0 or height <= 0:
+            self.fail(f"bad dimensions {width}x{height}")
+        maxval = self.read_int()
+        if maxval != 255:
+            self.fail(f"maxval {maxval} unsupported, must be 255")
+        if self.pos >= len(blob) or blob[self.pos : self.pos + 1] not in _WHITESPACE:
+            self.fail("expected single whitespace before payload")
+        self.pos += 1
+        expected = width * height * samples
+        have = len(blob) - self.pos
+        if have < expected:
+            self.pos = len(blob)
+            self.fail(f"payload truncated: need {expected} bytes, have {have}")
+        self.pos += expected
+        return (height, width) if samples == 1 else (height, width, samples)
 
-def _read_pnm(path, magic, samples):
-    """The decoded array and the header bytes before its payload."""
+
+def _read_images(path, magic, samples):
+    """The file's images as one (T, H, W[, samples]) uint8 array: a read-only
+    view of the file's bytes when its headers all equal the first."""
     with open(path, "rb", buffering=0) as f:  # one read of the whole file, no buffer object
         blob = f.read()
     p = _Parser(blob, path)
-    if blob[:2] != magic:
-        p.fail(f"bad magic {blob[:2]!r}, expected {magic!r}")
-    p.pos = 2
-    width = p.read_int()
-    height = p.read_int()
-    if width <= 0 or height <= 0:
-        p.fail(f"bad dimensions {width}x{height}")
-    maxval = p.read_int()
-    if maxval != 255:
-        p.fail(f"maxval {maxval} unsupported, must be 255")
-    if p.pos >= len(blob) or blob[p.pos : p.pos + 1] not in _WHITESPACE:
-        p.fail("expected single whitespace before payload")
-    p.pos += 1
-    expected = width * height * samples
-    payload = blob[p.pos :]
-    if len(payload) < expected:
-        p.pos = len(blob)
-        p.fail(f"payload truncated: need {expected} bytes, have {len(payload)}")
-    if len(payload) > expected:
-        p.pos += expected
-        p.fail(f"trailing data: {len(payload) - expected} extra bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    shape = (height, width) if samples == 1 else (height, width, samples)
-    return arr.reshape(shape), blob[: p.pos]
+    shape = p.image(magic, samples)
+    size, payload = p.pos, int(np.prod(shape))
+    header = size - payload
+    data = np.frombuffer(blob, dtype=np.uint8)
+    if len(blob) % size == 0:
+        rows = data.reshape(-1, size)
+        if (rows[1:, :header] == rows[0, :header]).all():
+            return rows[:, header:].reshape((-1,) + shape)
+    images = [data[header:size]]
+    while p.pos < len(blob):
+        start = p.pos
+        if blob[start : start + 2] != magic:
+            p.fail(f"trailing data: {len(blob) - start} extra bytes")
+        got = p.image(magic, samples)
+        if got != shape:
+            (h, w), (ref_h, ref_w) = got[:2], shape[:2]
+            raise FormatError(path, start, f"image {len(images)} size {w}x{h} differs "
+                                           f"from {ref_w}x{ref_h} of image 0")
+        images.append(data[p.pos - payload : p.pos])
+    return np.stack(images).reshape((len(images),) + shape)
 
 
 def read_ppm(path):
-    """Read a binary P6 file into an (H, W, 3) uint8 array."""
-    return _read_pnm(path, b"P6", 3)[0]
+    """Read a binary P6 file of one or more images into a (T, H, W, 3) uint8 array."""
+    return _read_images(path, b"P6", 3).copy()
 
 
 def read_pgm(path):
-    """Read a binary P5 file into an (H, W) uint8 array."""
-    return _read_pnm(path, b"P5", 1)[0]
-
-
-_LAYOUTS = {read_ppm: (b"P6", 3), read_pgm: (b"P5", 1)}
-
-
-def read_stack(paths, read, ref=None):
-    """Decode files of one size with ``read`` (``read_ppm`` or ``read_pgm``).
-
-    Returns one (T, H, W, 3) or (T, H, W) uint8 array.  Only the first
-    file's header is parsed.  Every later file is read with one ``readv``
-    into a header-sized buffer, its row of the array and one spare byte; it
-    is taken as it lands when it has exactly the first file's length and
-    header bytes.  Any other file is decoded whole by ``read``, so a bad one
-    raises the same FormatError as on its own.  Every file must have the
-    height and width of ``ref``, a (path, shape) pair, or else of the first
-    file; one that does not raises FormatError naming it and both sizes.
-    """
-    paths = list(paths)
-    first, header = _read_pnm(paths[0], *_LAYOUTS[read])
-    ref_path, ref_shape = ref or (paths[0], first.shape)
-    ref_h, ref_w = ref_shape[:2]
-    out = np.empty((len(paths),) + first.shape, dtype=np.uint8)
-    size = len(header) + first.nbytes
-    head, spare = bytearray(len(header)), bytearray(1)
-    for t, path in enumerate(paths):
-        if t:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                got = os.readv(fd, [head, out[t], spare])
-            except OSError:  # a directory, say: the whole read below names the path
-                got = -1
-            finally:
-                os.close(fd)
-            if got == size and head == header:
-                continue
-        arr = read(path) if t else first
-        if arr.shape[:2] != (ref_h, ref_w):
-            h, w = arr.shape[:2]
-            raise FormatError(path, 0, f"size {w}x{h} differs from {ref_w}x{ref_h} of {ref_path}")
-        out[t] = arr
-    return out
+    """Read a binary P5 file of one or more images as (T, H, W) bool masks:
+    a sample of 128 or more is foreground."""
+    return _read_images(path, b"P5", 1) >= 128

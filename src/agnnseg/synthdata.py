@@ -10,6 +10,11 @@ DISTRACTOR_COUNT, FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC,
 SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC and MIN_COLOR_DIST and the dataset
 sizes TRAIN_VIDEOS, TEST_VIDEOS and COSEG_IMAGES_PER_CLASS are fixed; each is
 described where it is set.
+
+On disk each video is a directory ``<split>/<video_id>/`` beside
+``manifest.txt`` with ``frames.ppm``, its T frames as P6 images back to back,
+and ``masks.pgm``, its T masks as P5 images (see ``pnm``); one-image files
+convert with ``cat frame_*.ppm > frames.ppm`` and ``cat mask_*.pgm > masks.pgm``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ MIN_COLOR_DIST = 0.45  # smallest L1 distance of a shape colour from the backgro
 TRAIN_VIDEOS = 20  # videos in a generated train split
 TEST_VIDEOS = 5  # videos in a generated test split
 COSEG_IMAGES_PER_CLASS = 40  # co-segmentation images per shape class
+FRAMES_FILE = "frames.ppm"  # a video's T frames, P6 images back to back
+MASKS_FILE = "masks.pgm"  # its T masks, P5 images back to back
 
 
 def _check_scene(canvas, shape_class):
@@ -238,15 +245,13 @@ def render_static_scene(canvas, seed, shape_class=None):
 # on-disk dataset
 
 
-def _frame_to_uint8(frame):
-    return np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
-
-
 def _write_video(video_dir, frames, masks):
     video_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(frames.shape[0]):
-        pnm.write_ppm(video_dir / f"frame_{t:04d}.ppm", _frame_to_uint8(frames[t]))
-        pnm.write_pgm(video_dir / f"mask_{t:04d}.pgm", masks[t])
+    pixels = np.empty(frames.shape, dtype=np.uint8)
+    for t, frame in enumerate(frames):  # no float temporaries the size of the video
+        pixels[t] = np.clip(np.round(frame * 255.0), 0, 255)
+    pnm.write_ppm(video_dir / FRAMES_FILE, pixels)
+    pnm.write_pgm(video_dir / MASKS_FILE, masks)
 
 
 def _video_seed(seed, split, index):
@@ -260,8 +265,11 @@ def generate_dataset(out_dir, seed, num_frames=SyntheticVideoSpec.num_frames,
 
     Foreground classes cycle round-robin over videos so every split covers
     all classes.  Co-seg images are stored as one-frame videos grouped by
-    class in the manifest.
+    class in the manifest.  A negative seed raises FieldError before
+    anything is created.
     """
+    if seed < 0:
+        raise FieldError("seed", f"must be >= 0, got {seed}")
     root = Path(out_dir)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -341,11 +349,10 @@ def load_manifest(root):
         offset += len(raw)
     manifest = DatasetManifest(root, entries)
     for e in entries:
-        vdir = manifest.video_dir(e)
-        for t in range(e.num_frames):
-            for name in (f"frame_{t:04d}.ppm", f"mask_{t:04d}.pgm"):
-                if not (vdir / name).is_file():
-                    raise OSError(f"manifest references missing file {vdir / name}")
+        for name in (FRAMES_FILE, MASKS_FILE):
+            path = manifest.video_dir(e) / name
+            if not path.is_file():
+                raise OSError(f"manifest references missing file {path}")
     return manifest
 
 
@@ -353,23 +360,24 @@ def load_video(manifest: DatasetManifest, entry: ManifestEntry):
     """Frames as a (T, H, W, 3) uint8 stack, masks as (T, H, W) bools.
 
     The frames stay the decoded bytes; ``encoder.encode`` scales each one it
-    embeds by 1/255.  Each stack parses one header, its first file's (see
-    ``pnm.read_stack``), and the masks are thresholded at 128.  A frame or
-    mask whose size differs from the first frame's raises FormatError naming
-    it and both sizes.  The file names are plain strings; a FormatError's
-    path is made a ``Path`` when it is raised.
+    embeds by 1/255.  The masks are thresholded at 128.  Each array is
+    fresh, C-contiguous and writable.  A file whose image count is not the
+    manifest's ``num_frames``, or a mask stack whose size differs from the
+    frames', raises FormatError naming the file.
     """
-    vdir = str(manifest.video_dir(entry))
-    steps = range(entry.num_frames)
-    frame_paths = [f"{vdir}/frame_{t:04d}.ppm" for t in steps]
-    mask_paths = [f"{vdir}/mask_{t:04d}.pgm" for t in steps]
-    try:
-        frames = pnm.read_stack(frame_paths, pnm.read_ppm)
-        masks = pnm.read_stack(mask_paths, pnm.read_pgm, ref=(frame_paths[0], frames.shape[1:]))
-    except FormatError as exc:
-        exc.path = Path(exc.path)
-        raise
-    return frames, masks >= 128
+    vdir = manifest.video_dir(entry)
+    frames_path, masks_path = vdir / FRAMES_FILE, vdir / MASKS_FILE
+    frames = pnm.read_ppm(frames_path)
+    masks = pnm.read_pgm(masks_path)
+    for path, stack in ((frames_path, frames), (masks_path, masks)):
+        if len(stack) != entry.num_frames:
+            raise FormatError(path, 0, f"{len(stack)} images, but the manifest "
+                                       f"gives {entry.num_frames} frames")
+    if masks.shape[1:] != frames.shape[1:3]:
+        (h, w), (ref_h, ref_w) = masks.shape[1:], frames.shape[1:3]
+        raise FormatError(masks_path, 0,
+                          f"size {w}x{h} differs from {ref_w}x{ref_h} of {frames_path}")
+    return frames, masks
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is written with plain Python loops and ``math`` so it shares
 no code path with the engine kernels it is used to validate.  Slow on
 purpose; only run on tiny shapes.  ``tree_hash`` digests a directory tree's
-relative paths and bytes, for byte-identity checks on written files, and
+relative paths and bytes, for byte-identity checks on written files,
+``decoded_hash`` digests what a dataset's videos decode to, and
 ``cut_manifest`` shrinks a generated dataset's splits for tests.  The
 scene rasterizers and the background gradient are index-grid (``np.mgrid``)
 references for the broadcast versions in ``agnnseg.synthdata``, and
@@ -24,6 +25,20 @@ def tree_hash(root):
         if path.is_file():
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def decoded_hash(manifest):
+    """SHA-256 over every manifest entry's line and its ``load_video``
+    arrays, whatever the files' layout on disk."""
+    from agnnseg.synthdata import load_video
+
+    digest = hashlib.sha256()
+    for e in manifest.entries:
+        frames, masks = load_video(manifest, e)
+        digest.update(f"{e.split}\t{e.video_id}\t{e.num_frames}\t{e.shape_class}\n".encode())
+        digest.update(frames.tobytes())
+        digest.update(masks.tobytes())
     return digest.hexdigest()
 
 
@@ -319,14 +334,14 @@ class PnmLoopsError(Exception):
 _PNM_WHITESPACE = b" \t\r\n\v\f"
 
 
-def read_pnm_loops(blob, magic, samples):
-    """Byte-at-a-time P5/P6 header parse and payload decode.
+def read_pnm_loops(blob, magic, samples, pos=0):
+    """Byte-at-a-time parse and decode of the one P5/P6 image at byte ``pos``.
 
     Header whitespace and ``#`` comments are skipped one byte at a time and
     integers are read digit by digit; errors carry the same messages and
-    byte offsets ``agnnseg.pnm`` gives.
+    absolute byte offsets ``agnnseg.pnm`` gives.  Returns the (H, W, samples)
+    image, or (H, W) for P5, and the offset just past its payload.
     """
-    pos = 0
 
     def fail(message):
         raise PnmLoopsError(pos, message)
@@ -349,9 +364,9 @@ def read_pnm_loops(blob, magic, samples):
             fail("expected an integer")
         return int(blob[start:pos])
 
-    if blob[:2] != magic:
-        fail(f"bad magic {blob[:2]!r}, expected {magic!r}")
-    pos = 2
+    if blob[pos : pos + 2] != magic:
+        fail(f"bad magic {blob[pos : pos + 2]!r}, expected {magic!r}")
+    pos += 2
     width = read_int()
     height = read_int()
     if width <= 0 or height <= 0:
@@ -367,12 +382,31 @@ def read_pnm_loops(blob, magic, samples):
     if have < expected:
         pos = len(blob)
         fail(f"payload truncated: need {expected} bytes, have {have}")
-    if have > expected:
-        pos += expected
-        fail(f"trailing data: {have - expected} extra bytes")
     out = np.zeros((height, width, samples), dtype=np.uint8)
     for y in range(height):
         for x in range(width):
             for s in range(samples):
                 out[y, x, s] = blob[pos + (y * width + x) * samples + s]
-    return out[:, :, 0] if samples == 1 else out
+    return (out[:, :, 0] if samples == 1 else out), pos + expected
+
+
+def read_pnm_file_loops(blob, magic, samples):
+    """A multi-image file decoded image by image with ``read_pnm_loops``.
+
+    After each image, the next starts if the bytes left begin with the
+    magic and are trailing data otherwise; every image must have the first
+    one's size.  Returns the (T, ...) uint8 stack.
+    """
+    images, pos = [], 0
+    while True:
+        start = pos
+        image, pos = read_pnm_loops(blob, magic, samples, start)
+        if images and image.shape != images[0].shape:
+            (h, w), (ref_h, ref_w) = image.shape[:2], images[0].shape[:2]
+            raise PnmLoopsError(start, f"image {len(images)} size {w}x{h} differs "
+                                       f"from {ref_w}x{ref_h} of image 0")
+        images.append(image)
+        if pos == len(blob):
+            return np.stack(images)
+        if blob[pos : pos + 2] != magic:
+            raise PnmLoopsError(pos, f"trailing data: {len(blob) - pos} extra bytes")

@@ -13,7 +13,7 @@ from agnnseg.graph import MAX_K_ITERS, GraphConfig
 from agnnseg.model import init_model, load_model, save_model
 from agnnseg.pipeline import TrainConfig, TrainResult
 from agnnseg.synthdata import generate_dataset
-from oracles import cut_manifest, tree_hash
+from oracles import cut_manifest, read_pnm_file_loops, tree_hash
 
 
 def write_config(path, **kv):
@@ -227,9 +227,8 @@ class TestTrain:
         data = tmp_path / "data"
         generate_dataset(data, seed=0, num_frames=2, canvas=32)
         odd = data / "train" / "video_0001"
-        for t in range(2):
-            pnm.write_ppm(odd / f"frame_{t:04d}.ppm", np.zeros((18, 18, 3), dtype=np.uint8))
-            pnm.write_pgm(odd / f"mask_{t:04d}.pgm", np.zeros((18, 18), dtype=bool))
+        pnm.write_ppm(odd / "frames.ppm", np.zeros((2, 18, 18, 3), dtype=np.uint8))
+        pnm.write_pgm(odd / "masks.pgm", np.zeros((2, 18, 18), dtype=bool))
         # clips of 2 frames, so the 2-frame videos fail only on their size
         cfg = write_config(tmp_path / "c.cfg", channels=4, n_prime_train=2)
         code = main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "run")])
@@ -291,9 +290,8 @@ class TestInfer:
                      "--out", str(out), "--n-prime", "5"]) == 0
         masks = sorted(out.glob("pred_*.pgm"))
         assert len(masks) == 5
-        from agnnseg import pnm
-        m = pnm.read_pgm(masks[0])
-        assert m.shape == (32, 32)
+        m = read_pnm_file_loops(masks[0].read_bytes(), b"P5", 1)
+        assert m.shape == (1, 32, 32)
         assert set(np.unique(m)) <= {0, 255}
 
     def test_coseg_single_image(self, tmp_path, tiny_dataset, tiny_checkpoint):
@@ -341,8 +339,8 @@ class TestInfer:
         from agnnseg import pnm
         vdir = tmp_path / "vid"
         vdir.mkdir()
-        pnm.write_ppm(vdir / "frame_0000.ppm",
-                      np.zeros((30, 30, 3), dtype=np.uint8))
+        pnm.write_ppm(vdir / "frames.ppm",
+                      np.zeros((1, 30, 30, 3), dtype=np.uint8))
         code = main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(vdir),
                      "--out", str(tmp_path / "o")])
         assert code == 4
@@ -351,14 +349,17 @@ class TestInfer:
         from agnnseg import pnm
         vdir = tmp_path / "vid"
         vdir.mkdir()
-        pnm.write_ppm(vdir / "frame_0000.ppm", np.zeros((32, 32, 3), dtype=np.uint8))
-        odd = vdir / "frame_0001.ppm"
-        pnm.write_ppm(odd, np.zeros((16, 16, 3), dtype=np.uint8))
+        frames = vdir / "frames.ppm"
+        pnm.write_ppm(frames, np.zeros((1, 32, 32, 3), dtype=np.uint8))
+        first = frames.read_bytes()
+        pnm.write_ppm(frames, np.zeros((1, 16, 16, 3), dtype=np.uint8))
+        frames.write_bytes(first + frames.read_bytes())
         code = main(["infer", "--checkpoint", str(tiny_checkpoint), "--video-dir", str(vdir),
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert str(odd) in err and "size 16x16 differs from 32x32" in err
+        assert str(frames) in err and "image 1 size 16x16 differs from 32x32" in err
+        assert err.rstrip().endswith(f"at byte {len(first)}")
 
     def test_nan_meta_exit_4(self, tmp_path, tiny_dataset, capsys):
         params = init_model(channels=4, downsample=4, seed=0)
@@ -519,8 +520,8 @@ class TestMalformedFiles:
     def test_truncated_frame(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys):
         vdir = tmp_path / "vid"
         vdir.mkdir()
-        frame = vdir / "frame_0000.ppm"
-        frame.write_bytes((tiny_dataset / "test" / "video_0000" / "frame_0000.ppm").read_bytes()[:-5])
+        frame = vdir / "frames.ppm"
+        frame.write_bytes((tiny_dataset / "test" / "video_0000" / "frames.ppm").read_bytes()[:-5])
         code = self.infer(tiny_checkpoint, vdir, tmp_path)
         self.assert_format_error(capsys, code, frame)
 

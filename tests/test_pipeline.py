@@ -209,6 +209,19 @@ class TestTraining:
         with pytest.raises(ValueError, match="train split"):
             train(one_video, quick_config(), params=small_model(quick_config()))
 
+    def test_short_video_reported_before_later_videos_are_read(self, dataset, monkeypatch):
+        loaded = []
+
+        def spy(manifest, entry):
+            loaded.append(entry)
+            return load_video(manifest, entry)
+
+        monkeypatch.setattr(pl, "load_video", spy)
+        config = quick_config(n_prime=7)  # more than the 6 frames of every video
+        with pytest.raises(pl.DatasetError, match="6 frames, fewer than the 7"):
+            train(dataset, config, params=small_model(config))
+        assert loaded == dataset.split("train")[:1]
+
 
 class TestInferVideo:
     def test_one_mask_per_frame_in_order(self, dataset):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from agnnseg import pnm, synthdata
 from agnnseg.encoder import EncoderConfig, encode, init_encoder
-from agnnseg.errors import FormatError
+from agnnseg.errors import FieldError, FormatError
 from agnnseg.synthdata import (
     SHAPE_CLASSES,
     SyntheticVideoSpec,
@@ -34,7 +34,9 @@ from oracles import tree_hash
 
 # Pinned digests of generated bytes: any change to data generation, down to
 # one rounding step, changes the data every model trains and is scored on.
-SMALL_DATASET_TREE = "b2044f611e08daf8f659f1b4e233d300a74783d724e581e5f190819cad26bf2f"
+SMALL_DATASET_TREE = "6b133cc5627a0186fe78233139cf1d08fee69ad314eee15e21110d5c272f521d"
+# the arrays load_video returns for that dataset, whatever its file layout
+SMALL_DATASET_DECODED = "e3ba925da6bdcc8506b887c82c270f04177a55556d7df02bd5d9370dbf17a49d"
 STATIC_SCENE_32 = {
     0: "e63a5910188c72a833d89665501ff7a7c730699d2608eaf6bdb3e985934fcfe8",
     1: "f4d3ca18caef4631fa94e5f4b4d68e7518fa86ec45c4e98bd3b625b3661f371a",
@@ -52,11 +54,6 @@ def small_dataset(tmp_path_factory):
 @pytest.fixture(scope="module")
 def blob_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "blob"
-
-
-@pytest.fixture(scope="module")
-def stack_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("stack")
 
 
 _WS = [bytes([c]) for c in b" \t\r\n\v\f"]
@@ -98,14 +95,16 @@ def pnm_layouts(draw, magic=None, dims=None):
 
 
 @st.composite
-def pnm_stacks(draw):
-    """The files of one ``read_stack`` call: a first file, then later ones.
+def pnm_files(draw):
+    """Images back to back, as one multi-image file: a first image, then
+    later ones, then maybe a few trailing bytes.
 
-    A later file either shares the first file's header bytes and length,
-    which ``read_stack`` takes without parsing, or its header but is one
-    byte short or long, or its length but the other magic, or is a drawn
-    layout: the same size spelt otherwise or one byte short or long,
-    another size, or either magic.
+    A later image either repeats the first image's header bytes with a new
+    payload, so a file of only such images is read with one header
+    comparison, or repeats the header with a payload one byte short or long,
+    or has the first image's length but the other magic, or has a comment in
+    a header for the same size, or is a drawn layout: the same size spelt
+    otherwise, or one byte short or long, another size, or either magic.
     """
     magic, samples = draw(st.sampled_from(_FORMATS))
     width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -114,40 +113,28 @@ def pnm_stacks(draw):
     canonical = b"%s\n%d %d\n255\n" % (magic, width, height)
     first = draw(st.one_of(
         payloads.map(lambda p: canonical + p),
+        payloads.map(lambda p: canonical + p),
         pnm_layouts(magic, (width, height)).map(lambda layout: layout[2]),
     ))
     header = first[: max(len(first) - nbytes, 0)]
 
     def later(kind):
-        if kind == "magic":  # the first file's length, but the other format's magic
+        if kind == "magic":  # the first image's length, but the other format's magic
             other = b"P6" if magic == b"P5" else b"P5"
             return payloads.map(lambda p: other + header[2:] + p)
+        if kind == "commented":  # a valid header for the same size, but other bytes
+            return payloads.map(lambda p: magic + b"\n# later\n" + canonical[3:] + p)
         if kind in ("same", "short", "long"):
             n = nbytes + {"same": 0, "short": -1, "long": 1}[kind]
             return st.binary(min_size=n, max_size=n).map(lambda p: header + p)
         args = {"respelt": (magic, (width, height)), "resized": (magic,), "any": ()}[kind]
         return pnm_layouts(*args).map(lambda layout: layout[2])
 
-    kinds = st.sampled_from(["same", "same", "short", "long", "magic", "respelt", "resized", "any"])
-    return magic, samples, [first] + draw(st.lists(kinds.flatmap(later), min_size=1, max_size=4))
-
-
-def stack_oracle(paths, blobs, magic, samples, ref):
-    """The per-file decode of a stack, or the (path, offset, message) of the
-    first file that the byte-loop parser or the size check rejects."""
-    ref_path, ref_shape = ref or (paths[0], None)
-    arrays = []
-    for path, blob in zip(paths, blobs):
-        try:
-            arr = oracles.read_pnm_loops(blob, magic, samples)
-        except oracles.PnmLoopsError as exc:
-            return path, exc.offset, f"{path}: {exc}"
-        ref_shape = ref_shape or arr.shape
-        if arr.shape[:2] != ref_shape[:2]:
-            (h, w), (ref_h, ref_w) = arr.shape[:2], ref_shape[:2]
-            return path, 0, f"{path}: size {w}x{h} differs from {ref_w}x{ref_h} of {ref_path} at byte 0"
-        arrays.append(arr)
-    return np.stack(arrays)
+    kinds = st.sampled_from(["same"] * 8 + ["commented"] * 2 + ["respelt", "short", "long",
+                                                                "magic", "resized", "any"])
+    images = draw(st.lists(kinds.flatmap(later), max_size=4))
+    tail = draw(st.sampled_from([b""] * 12 + [b"\n", b"P", magic, b"x" * 5]))
+    return magic, samples, b"".join([first] + images) + tail
 
 
 def _any_pnm_bytes():
@@ -156,28 +143,59 @@ def _any_pnm_bytes():
         lambda pair: pair[0] + pair[1]))
 
 
+def _read(magic):
+    return pnm.read_pgm if magic == b"P5" else pnm.read_ppm
+
+
+def _file_oracle(blob, magic, samples):
+    """What the reader returns for ``blob``: the image-by-image loop decode,
+    as masks for P5."""
+    images = oracles.read_pnm_file_loops(blob, magic, samples)
+    return images >= 128 if magic == b"P5" else images
+
+
+def _manifest_of(tmp_path, frames, masks):
+    """A one-video dataset under ``tmp_path`` holding ``frames`` and ``masks``
+    as given, with ``num_frames`` the frame count."""
+    vdir = tmp_path / "train" / "video_0000"
+    vdir.mkdir(parents=True)
+    pnm.write_ppm(vdir / "frames.ppm", frames)
+    pnm.write_pgm(vdir / "masks.pgm", masks)
+    entry = synthdata.ManifestEntry("train", "video_0000", len(frames), "ellipse")
+    return synthdata.DatasetManifest(tmp_path, [entry]), entry
+
+
 class TestPnm:
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        pixels = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+        pixels = rng.integers(0, 256, size=(2, 5, 7, 3), dtype=np.uint8)
         path = tmp_path / "x.ppm"
         pnm.write_ppm(path, pixels)
         np.testing.assert_array_equal(pnm.read_ppm(path), pixels)
 
     def test_pgm_round_trip_bytes(self, tmp_path):
-        mask = np.array([[1, 0], [0, 1]], dtype=bool)
+        masks = np.array([[[1, 0], [0, 1]], [[0, 0], [1, 1]]], dtype=bool)
         path = tmp_path / "m.pgm"
-        pnm.write_pgm(path, mask)
+        pnm.write_pgm(path, masks)
         blob = path.read_bytes()
-        pnm.write_pgm(path, pnm.read_pgm(path) >= 128)
+        pnm.write_pgm(path, pnm.read_pgm(path))
         assert path.read_bytes() == blob
 
     def test_two_by_two_foreground_is_fifteen_bytes(self, tmp_path):
         path = tmp_path / "f.pgm"
-        pnm.write_pgm(path, np.ones((2, 2), dtype=bool))
+        pnm.write_pgm(path, np.ones((1, 2, 2), dtype=bool))
         blob = path.read_bytes()
         assert len(blob) == 15
         assert blob == b"P5\n2 2\n255\n" + b"\xff" * 4
+
+    def test_stack_file_is_the_one_image_files_concatenated(self, tmp_path):
+        rng = np.random.default_rng(1)
+        frames = rng.integers(0, 256, size=(3, 2, 4, 3), dtype=np.uint8)
+        pnm.write_ppm(tmp_path / "frames.ppm", frames)
+        for t, frame in enumerate(frames):
+            pnm.write_ppm(tmp_path / f"frame_{t:04d}.ppm", frame[None])
+        parts = [(tmp_path / f"frame_{t:04d}.ppm").read_bytes() for t in range(3)]
+        assert (tmp_path / "frames.ppm").read_bytes() == b"".join(parts)
 
     def test_wrong_maxval_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -191,6 +209,16 @@ class TestPnm:
         with pytest.raises(ValueError, match="truncated.*at byte 13"):
             pnm.read_pgm(path)
 
+    def test_truncated_last_image_reports_its_position(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        pnm.write_ppm(path, np.zeros((3, 2, 2, 3), dtype=np.uint8))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-5])
+        with pytest.raises(FormatError) as info:
+            pnm.read_ppm(path)
+        assert (info.value.path, info.value.offset) == (path, len(blob) - 5)
+        assert "payload truncated: need 12 bytes, have 7" in str(info.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "nope.pgm"
         path.write_bytes(b"P4\n2 2\n255\n" + b"\x00" * 4)
@@ -203,40 +231,67 @@ class TestPnm:
         with pytest.raises(ValueError, match="trailing"):
             pnm.read_pgm(path)
 
+    @pytest.mark.parametrize("tail, message", [
+        (b"\n\n", "trailing data: 2 extra bytes"),
+        (b"P5", "expected an integer"),  # the start of a third image
+    ], ids=["junk", "magic"])
+    def test_bytes_after_the_last_image_rejected_where_they_start(self, tmp_path, tail, message):
+        path = tmp_path / "long.pgm"
+        pnm.write_pgm(path, np.zeros((2, 2, 2), dtype=bool))
+        size = len(path.read_bytes())
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(FormatError) as info:
+            pnm.read_pgm(path)
+        offset = size if tail[:1] == b"\n" else size + 2
+        assert str(info.value) == f"{path}: {message} at byte {offset}"
+
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# hi\n2 2\n255\n" + b"\xaa" * 4)
-        np.testing.assert_array_equal(pnm.read_pgm(path), np.full((2, 2), 0xAA, dtype=np.uint8))
+        path.write_bytes(b"P5\n# hi\n2 2\n255\n" + b"\x7f\x80\xaa\x00")
+        np.testing.assert_array_equal(pnm.read_pgm(path), [[[False, True], [True, False]]])
+
+    def test_header_comments_on_a_later_image_give_the_same_arrays(self, tmp_path):
+        rng = np.random.default_rng(2)
+        frames = rng.integers(0, 256, size=(3, 2, 3, 3), dtype=np.uint8)
+        plain = tmp_path / "plain.ppm"
+        pnm.write_ppm(plain, frames)
+        commented = tmp_path / "commented.ppm"
+        blob = plain.read_bytes()
+        size = len(blob) // 3
+        commented.write_bytes(blob[:size] + b"P6 # later\n3\t2 255\n" + blob[size + 11 :])
+        assert commented.read_bytes() != blob
+        got = pnm.read_ppm(commented)
+        assert got.tobytes() == pnm.read_ppm(plain).tobytes() == frames.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
 
     @given(layout=pnm_layouts())
     @settings(max_examples=300, deadline=None)
     def test_header_tokenizer_matches_byte_loop_oracle(self, blob_file, layout):
         magic, samples, blob = layout
         blob_file.write_bytes(blob)
-        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
         try:
-            expected = oracles.read_pnm_loops(blob, magic, samples)
+            expected = _file_oracle(blob, magic, samples)
         except oracles.PnmLoopsError as exc:
             with pytest.raises(FormatError) as info:
-                read(blob_file)
+                _read(magic)(blob_file)
             assert info.value.offset == exc.offset
             assert str(info.value) == f"{blob_file}: {exc}"
         else:
-            got = read(blob_file)
-            assert got.dtype == np.uint8 and got.shape == expected.shape
+            got = _read(magic)(blob_file)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
     @given(blob=_any_pnm_bytes(), magic=st.sampled_from([b"P5", b"P6"]))
     @settings(max_examples=300, deadline=None)
     def test_any_bytes_give_an_array_or_format_error(self, blob_file, blob, magic):
         blob_file.write_bytes(blob)
-        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
         try:
-            got = read(blob_file)
+            got = _read(magic)(blob_file)
         except FormatError as exc:
             assert exc.path == blob_file and 0 <= exc.offset <= len(blob)
         else:
-            assert got.dtype == np.uint8 and got.ndim == (2 if magic == b"P5" else 3)
+            assert got.dtype == (bool if magic == b"P5" else np.uint8)
+            assert got.ndim == (3 if magic == b"P5" else 4) and len(got) >= 1
 
     def test_overlong_integer_is_a_format_error(self, tmp_path):
         path = tmp_path / "long.pgm"
@@ -245,67 +300,59 @@ class TestPnm:
             pnm.read_pgm(path)
 
     def test_stack_of_mixed_sizes_names_file_and_sizes(self, tmp_path):
-        paths = [tmp_path / f"f{i}.ppm" for i in range(3)]
-        for path, side in zip(paths, (4, 4, 2)):
-            pnm.write_ppm(path, np.zeros((side, side, 3), dtype=np.uint8))
+        path = tmp_path / "frames.ppm"
+        parts = []
+        for side in (4, 4, 2):
+            pnm.write_ppm(path, np.zeros((1, side, side, 3), dtype=np.uint8))
+            parts.append(path.read_bytes())
+        path.write_bytes(b"".join(parts))
         with pytest.raises(FormatError) as info:
-            pnm.read_stack(paths, pnm.read_ppm)
-        assert info.value.path == paths[2]
-        assert f"size 2x2 differs from 4x4 of {paths[0]}" in str(info.value)
+            pnm.read_ppm(path)
+        assert (info.value.path, info.value.offset) == (path, len(parts[0]) + len(parts[1]))
+        assert "image 2 size 2x2 differs from 4x4 of image 0" in str(info.value)
 
     def test_stack_checks_the_first_file_against_ref(self, tmp_path):
-        paths = [tmp_path / f"m{i}.pgm" for i in range(3)]
-        for path in paths:
-            pnm.write_pgm(path, np.zeros((2, 2), dtype=bool))
-        ref = (tmp_path / "frame.ppm", (3, 2, 3))
+        # the masks file of a video is checked against its frames file's size
+        manifest, entry = _manifest_of(tmp_path, np.zeros((3, 3, 2, 3), dtype=np.uint8),
+                                       np.zeros((3, 2, 2), dtype=bool))
+        vdir = manifest.video_dir(entry)
         with pytest.raises(FormatError) as info:
-            pnm.read_stack(paths, pnm.read_pgm, ref=ref)
-        assert (info.value.path, info.value.offset) == (paths[0], 0)
-        assert f"size 2x2 differs from 2x3 of {ref[0]}" in str(info.value)
+            load_video(manifest, entry)
+        assert (info.value.path, info.value.offset) == (vdir / "masks.pgm", 0)
+        assert f"size 2x2 differs from 2x3 of {vdir / 'frames.ppm'}" in str(info.value)
 
-    @given(
-        stack=pnm_stacks(),
-        ref=st.sampled_from([None, None, "same", "taller", "wider"]),
-        as_str=st.booleans(),
-    )
+    @given(file=pnm_files(), as_str=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_stack_matches_the_per_file_decode_oracle(self, stack_dir, stack, ref, as_str):
-        # files that share the first header are read straight into the stack,
-        # the rest are parsed whole: either way the result, or the first
-        # error, is the per-file decoder's
-        magic, samples, blobs = stack
-        paths = [stack_dir / f"f{t}" for t in range(len(blobs))]
-        for path, blob in zip(paths, blobs):
-            path.write_bytes(blob)
-        if as_str:
-            paths = [str(path) for path in paths]
-        if ref is not None:
-            try:
-                h, w = oracles.read_pnm_loops(blobs[0], magic, samples).shape[:2]
-            except oracles.PnmLoopsError:
-                h, w = 1, 1
-            h, w = {"same": (h, w), "taller": (h + 1, w), "wider": (h, w + 1)}[ref]
-            ref = (stack_dir / "ref.ppm", (h, w, 3))
-        read = pnm.read_pgm if magic == b"P5" else pnm.read_ppm
-        expected = stack_oracle(paths, blobs, magic, samples, ref)
-        if isinstance(expected, tuple):
+    def test_stack_matches_the_per_file_decode_oracle(self, blob_file, file, as_str):
+        # a file of one header repeated is taken with one comparison, any
+        # other is parsed image by image: either way the result, or the first
+        # error and its byte offset, is the image-by-image loop decode's
+        magic, samples, blob = file
+        blob_file.write_bytes(blob)
+        path = str(blob_file) if as_str else blob_file
+        try:
+            expected = _file_oracle(blob, magic, samples)
+        except oracles.PnmLoopsError as exc:
             with pytest.raises(FormatError) as info:
-                pnm.read_stack(paths, read, ref=ref)
-            assert (info.value.path, info.value.offset, str(info.value)) == expected
-            assert type(info.value.path) is type(expected[0])
+                _read(magic)(path)
+            assert (info.value.path, info.value.offset) == (path, exc.offset)
+            assert str(info.value) == f"{path}: {exc}"
+            assert type(info.value.path) is type(path)
         else:
-            got = pnm.read_stack(paths, read, ref=ref)
-            assert got.dtype == np.uint8 and got.shape == expected.shape
+            got = _read(magic)(path)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+            assert got.flags.c_contiguous and got.flags.writeable
 
     @given(
+        t=st.integers(min_value=1, max_value=3),
         h=st.integers(min_value=1, max_value=8),
         w=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=30, deadline=None)
-    def test_round_trip_property(self, tmp_path_factory, h, w, seed):
-        pixels = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    def test_round_trip_property(self, tmp_path_factory, t, h, w, seed):
+        pixels = np.random.default_rng(seed).integers(0, 256, size=(t, h, w, 3), dtype=np.uint8)
         path = tmp_path_factory.mktemp("pnm") / "p.ppm"
         pnm.write_ppm(path, pixels)
         np.testing.assert_array_equal(pnm.read_ppm(path), pixels)
@@ -386,6 +433,9 @@ class TestDataset:
     def test_bytes_match_the_pinned_digest(self, small_dataset):
         assert tree_hash(small_dataset.root) == SMALL_DATASET_TREE
 
+    def test_decoded_arrays_match_the_pinned_digest(self, small_dataset):
+        assert oracles.decoded_hash(small_dataset) == SMALL_DATASET_DECODED
+
     def test_split_sizes_are_the_module_constants(self, small_dataset):
         sizes = [len(small_dataset.split(name)) for name in ("train", "test", "coseg")]
         assert sizes == [synthdata.TRAIN_VIDEOS, synthdata.TEST_VIDEOS,
@@ -397,7 +447,7 @@ class TestDataset:
 
     def test_missing_file_detected(self, tmp_path):
         manifest = generate_dataset(tmp_path, seed=1, num_frames=2, canvas=32)
-        victim = manifest.video_dir(manifest.split("train")[0]) / "mask_0001.pgm"
+        victim = manifest.video_dir(manifest.split("train")[0]) / "masks.pgm"
         victim.unlink()
         with pytest.raises(OSError, match="missing"):
             load_manifest(tmp_path)
@@ -438,7 +488,7 @@ class TestDataset:
             else:
                 for entry in manifest.entries:
                     assert entry.num_frames >= 1
-                    assert (manifest.video_dir(entry) / "frame_0000.ppm").is_file()
+                    assert (manifest.video_dir(entry) / "frames.ppm").is_file()
                     assert manifest.video_dir(entry).resolve().is_relative_to(root.resolve())
 
         check()
@@ -517,13 +567,9 @@ class TestDataset:
     def test_load_video_matches_per_file_decode_oracle(self, small_dataset):
         for entry in small_dataset.split("train")[:2] + small_dataset.split("coseg")[:1]:
             vdir = small_dataset.video_dir(entry)
-            decoded = [
-                (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
-                 oracles.read_pnm_loops((vdir / f"mask_{t:04d}.pgm").read_bytes(), b"P5", 1))
-                for t in range(entry.num_frames)
-            ]
-            want_frames = np.stack([f for f, _ in decoded])
-            want_masks = np.stack([m >= 128 for _, m in decoded])
+            want_frames = oracles.read_pnm_file_loops((vdir / "frames.ppm").read_bytes(), b"P6", 3)
+            want_masks = oracles.read_pnm_file_loops((vdir / "masks.pgm").read_bytes(), b"P5", 1)
+            want_masks = want_masks >= 128
             frames, masks = load_video(small_dataset, entry)
             assert frames.dtype == np.uint8 and masks.dtype == bool
             for got, want in ((frames, want_frames), (masks, want_masks)):
@@ -534,34 +580,80 @@ class TestDataset:
         params = init_encoder(EncoderConfig(channels=4, downsample=4), 0)
         for entry in [small_dataset.split(s)[0] for s in ("train", "test", "coseg")]:
             vdir = small_dataset.video_dir(entry)
-            decoded = [
-                (oracles.read_pnm_loops((vdir / f"frame_{t:04d}.ppm").read_bytes(), b"P6", 3),
-                 oracles.read_pnm_loops((vdir / f"mask_{t:04d}.pgm").read_bytes(), b"P5", 1))
-                for t in range(entry.num_frames)
-            ]
+            decoded = oracles.read_pnm_file_loops((vdir / "frames.ppm").read_bytes(), b"P6", 3)
+            decoded_masks = oracles.read_pnm_file_loops((vdir / "masks.pgm").read_bytes(), b"P5", 1)
             frames, masks = load_video(small_dataset, entry)
             assert frames.dtype == np.uint8 and masks.dtype == bool
-            assert frames.tobytes() == np.stack([f for f, _ in decoded]).tobytes()
-            assert masks.tobytes() == np.stack([m >= 128 for _, m in decoded]).tobytes()
+            assert frames.tobytes() == decoded.tobytes()
+            assert masks.tobytes() == (decoded_masks >= 128).tobytes()
             # encode scales the uint8 rows to the float frames load_video used to return
             for t in (0, entry.num_frames - 1):
-                scaled = decoded[t][0].astype(float) / 255.0
+                scaled = decoded[t].astype(float) / 255.0
                 assert encode(frames[t], params).data.tobytes() == encode(scaled, params).data.tobytes()
 
-    @pytest.mark.parametrize("name", ["frame_0002.ppm", "mask_0000.pgm", "mask_0003.pgm"])
-    def test_file_of_another_size_named(self, small_dataset, tmp_path, name):
+    def test_one_image_coseg_video_is_fresh_and_writable(self, small_dataset):
+        frames, masks = load_video(small_dataset, small_dataset.split("coseg")[0])
+        assert frames.shape == (1, 32, 32, 3) and masks.shape == (1, 32, 32)
+        for arr in (frames, masks):
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+
+    @pytest.mark.parametrize("name, index", [("frames.ppm", 2), ("masks.pgm", 3),
+                                             ("masks.pgm", None)],
+                             ids=["frames.ppm-2", "masks.pgm-3", "masks.pgm-all"])
+    def test_image_of_another_size_named(self, small_dataset, tmp_path, name, index):
+        # a bad image inside a file, then a mask file whose every image is off
         entry = small_dataset.split("train")[0]
         root = tmp_path / "data"
         shutil.copytree(small_dataset.video_dir(entry), root / entry.split / entry.video_id)
         victim = root / entry.split / entry.video_id / name
-        if name.endswith(".ppm"):
-            pnm.write_ppm(victim, np.zeros((16, 32, 3), dtype=np.uint8))
+        manifest = type(small_dataset)(root, [entry])
+        if name == "frames.ppm":
+            stack = pnm.read_ppm(victim)
+            images = [stack[t] for t in range(len(stack))]
+            images[index] = np.zeros((16, 32, 3), dtype=np.uint8)
         else:
-            pnm.write_pgm(victim, np.zeros((16, 32), dtype=bool))
+            stack = pnm.read_pgm(victim)
+            images = [stack[t] for t in range(len(stack))]
+            for t in range(len(images)) if index is None else [index]:
+                images[t] = np.zeros((16, 32), dtype=bool)
+        write = pnm.write_ppm if name == "frames.ppm" else pnm.write_pgm
+        parts = []
+        for image in images:
+            write(victim, image[None])
+            parts.append(victim.read_bytes())
+        victim.write_bytes(b"".join(parts))
         with pytest.raises(FormatError) as info:
-            load_video(type(small_dataset)(root, [entry]), entry)
+            load_video(manifest, entry)
         assert info.value.path == victim
-        assert "size 32x16 differs from 32x32" in str(info.value)
+        if index is None:
+            assert info.value.offset == 0
+            assert "size 32x16 differs from 32x32" in str(info.value)
+        else:
+            assert info.value.offset == sum(len(part) for part in parts[:index])
+            assert f"image {index} size 32x16 differs from 32x32" in str(info.value)
+
+    @pytest.mark.parametrize("name", ["frames.ppm", "masks.pgm"])
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_image_count_other_than_the_manifest_named(self, small_dataset, tmp_path, name,
+                                                       count):
+        frames, masks = load_video(small_dataset, small_dataset.split("train")[0])
+        manifest, entry = _manifest_of(tmp_path, frames, masks)
+        victim = manifest.video_dir(entry) / name
+        if name == "frames.ppm":
+            pnm.write_ppm(victim, np.concatenate([frames, frames])[:count])
+        else:
+            pnm.write_pgm(victim, np.concatenate([masks, masks])[:count])
+        with pytest.raises(FormatError) as info:
+            load_video(manifest, entry)
+        assert (info.value.path, info.value.offset) == (victim, 0)
+        assert f"{count} images, but the manifest gives 6 frames" in str(info.value)
+
+    def test_negative_seed_rejected_before_anything_is_made(self, tmp_path):
+        out = tmp_path / "data"
+        with pytest.raises(FieldError) as info:
+            generate_dataset(out, seed=-1, num_frames=1, canvas=32)
+        assert info.value.field == "seed"
+        assert not out.exists()
 
 
 class TestStaticScene:

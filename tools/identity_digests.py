@@ -4,7 +4,7 @@
 
 Imports ``agnnseg`` from ``SRC_DIR/src`` and from nowhere else, runs a fixed
 set of CLI commands and library calls in a temporary directory, and prints
-one JSON object with eleven digests.  Two trees whose outputs are
+one JSON object with twelve digests.  Two trees whose outputs are
 byte-identical print the same object, so a change that must not move a single
 bit is checked by running this on a copy of each tree and comparing the two
 lines.  Every
@@ -16,10 +16,16 @@ error at the CLI ``train``.
   5: ``gen-data``, a 6-iteration ``train`` (``cli_train_loss_csv``,
   ``cli_checkpoint``), ``eval`` (its standard output, ``cli_eval_csv``),
   ``infer --task video`` on the first test video and ``infer --task coseg``
-  on the first 6 co-segmentation images of one class (the PGMs it writes).
+  on the first 6 co-segmentation images of one class, written as one
+  ``frames.ppm`` (the PGMs it writes).
 * Data path (``data_path``): every file ``gen-data`` wrote, by relative path,
   then ``render_static_scene`` for seeds 0-99 at canvas 16, 32 and 64 (frame,
   mask and class) with each mask's ``downsample_mask`` at factors 4 and 8.
+  It covers the file layout, so it differs by design between trees that
+  store a video differently; ``decoded_data`` does not.
+* Decoded data (``decoded_data``): each manifest entry of the ``gen-data``
+  output, as its manifest line, then the frames and masks ``load_video``
+  returns for it.
 * Library, on the default dataset at seed 71: a 6-iteration ``train`` from
   ``init_model(seed=71)`` (``train_losses``, and ``train_params`` over every
   named tensor); then, from a fresh ``init_model(seed=71)``, ``evaluate``
@@ -29,8 +35,9 @@ error at the CLI ``train``.
 Each digest is SHA-256 over bytes concatenated in order: a file's bytes
 (PGMs in name order), ``eval``'s standard output, the float64 bytes of the
 losses, of each named tensor in ``named_tensors`` order and of each map, and
-``repr`` of the ``evaluate`` rows.  A digest over several files or maps is
-listed as ``[count, digest]``; ``data_path`` counts the files and the scenes.
+``repr`` of the ``evaluate`` rows.  A digest over several files, maps or
+videos is listed as ``[count, digest]``; ``data_path`` counts the files and
+the scenes.
 BLAS, OpenMP and MKL run one thread each, as in ``perfbench``.
 """
 
@@ -45,7 +52,6 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -99,6 +105,19 @@ def data_path_digest(data):
     return [len(files) + DATA_SEEDS * len(DATA_CANVASES), _sha(*chunks)]
 
 
+def decoded_data_digest(data):
+    """Every video of the dataset at ``data`` as ``load_video`` decodes it."""
+    from agnnseg.synthdata import load_manifest, load_video
+
+    manifest = load_manifest(data)
+    chunks = []
+    for e in manifest.entries:
+        frames, masks = load_video(manifest, e)
+        line = f"{e.split}\t{e.video_id}\t{e.num_frames}\t{e.shape_class}\n"
+        chunks += [line.encode(), frames.tobytes(), masks.tobytes()]
+    return [len(manifest.entries), _sha(*chunks)]
+
+
 def _cli(*argv):
     """Run ``agnnseg`` in-process; its standard output, or exit on an error."""
     from agnnseg.cli import main
@@ -117,6 +136,7 @@ def cli_digests(work):
     data, run = work / "cli-data", work / "cli-run"
     _cli("gen-data", "--config", config, "--out", data)
     data_path = data_path_digest(data)
+    decoded_data = decoded_data_digest(data)
     _cli("train", "--config", config, "--data", data, "--out", run)
     checkpoint = run / "checkpoint.agnn"
     eval_csv = _cli("eval", "--checkpoint", checkpoint, "--data", data)
@@ -131,12 +151,13 @@ def cli_digests(work):
     group = [e for e in coseg if e.shape_class == coseg[0].shape_class][:CLI_COSEG_IMAGES]
     images = work / "coseg-images"
     images.mkdir()
-    for i, entry in enumerate(group):
-        shutil.copy(manifest.video_dir(entry) / "frame_0000.ppm", images / f"frame_{i:04d}.ppm")
+    frames = [(manifest.video_dir(entry) / "frames.ppm").read_bytes() for entry in group]
+    (images / "frames.ppm").write_bytes(b"".join(frames))
     _cli("infer", "--checkpoint", checkpoint, "--video-dir", images,
          "--out", work / "coseg-masks", "--task", "coseg")
     return {
         "data_path": data_path,
+        "decoded_data": decoded_data,
         "cli_train_loss_csv": _sha((run / "loss.csv").read_bytes()),
         "cli_checkpoint": _sha(checkpoint.read_bytes()),
         "cli_eval_csv": _sha(eval_csv.encode()),
