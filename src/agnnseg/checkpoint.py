@@ -43,7 +43,8 @@ def write_checkpoint(path, named_arrays, meta):
 def read_checkpoint(path):
     """Read back (tensors: dict name -> float64 array, meta: dict name -> float).
 
-    Malformed content raises :class:`FormatError` at the offending byte.
+    Malformed content raises :class:`FormatError` at the offending byte; a
+    record whose name an earlier record used is malformed from its first byte.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -52,17 +53,22 @@ def read_checkpoint(path):
     pos = 4
     tensors = {}
     meta = {}
+    names = set()
     try:
         (version,) = struct.unpack_from("<I", blob, pos)
         if version != FORMAT_VERSION:
             raise FormatError(path, pos, f"unsupported format version {version}")
         pos += 4
         while pos < len(blob):
+            start = pos
             (name_len,) = struct.unpack_from("<I", blob, pos)
             pos += 4
             if pos + name_len > len(blob):
                 raise FormatError(path, pos, "truncated record name")
             name = blob[pos : pos + name_len].decode("utf-8")
+            if name in names:
+                raise FormatError(path, start, f"duplicate record {name!r}")
+            names.add(name)
             pos += name_len
             (rank,) = struct.unpack_from("<I", blob, pos)
             if rank and name.startswith(META_PREFIX):

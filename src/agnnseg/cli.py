@@ -115,10 +115,11 @@ def cmd_gen_data(args):
     downsample = _build(args.config, EncoderConfig, cfg).downsample
     if spec.canvas % downsample:
         raise ConfigError(f"canvas {spec.canvas} not divisible by downsample {downsample}")
-    # TrainConfig's rule checks seed, the one TrainConfig key gen-data reads
-    seed = _build(args.config, TrainConfig, {**parse_config(None), "seed": cfg["seed"]}).seed
     out = Path(args.out) if args.out else Path(cfg["out_dir"])
-    generate_dataset(out, seed=seed, num_frames=spec.num_frames, canvas=spec.canvas)
+    try:
+        generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
+    except FieldError as exc:  # a negative seed, raised before anything is created
+        raise ConfigError(f"{args.config}: {exc}") from exc
     print(out / "manifest.txt")
     return EXIT_OK
 

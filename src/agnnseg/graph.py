@@ -3,11 +3,11 @@
 The graph is its list of node states: every node is an (H, W, C) feature
 grid, and every pair of nodes is an edge.  One round computes, from the
 previous round's states only (Jacobi semantics): a self-attention loop edge
-per node, a bilinear line edge per node pair, row-softmax weighted neighbor
-messages, per-channel confidence gates, a gated sum, and a convolutional GRU
-state update.  All parameters are shared across nodes.  The number of rounds
-K and the gating are part of the model: ``GraphConfig``, held by the
-parameters as ``AttentionParams.config`` and saved with them.
+per node, all node pairs' bilinear line edges at once, row-softmax weighted
+neighbor messages, per-channel confidence gates, a gated sum, and a
+convolutional GRU state update.  All parameters are shared across nodes.  The
+number of rounds K and the gating are part of the model: ``GraphConfig``,
+held by the parameters as ``AttentionParams.config`` and saved with them.
 """
 
 from __future__ import annotations
@@ -105,20 +105,25 @@ def intra_attention(h, params: AttentionParams) -> Tensor:
     return engine.add(engine.mul(mixed, params.alpha), h)
 
 
-def inter_attention(h_i, h_j, w_c):
-    """Line-edge pair: bilinear similarities between two nodes' positions.
+def inter_attention(states, w_c):
+    """All line edges of one round: {(i, j): e_ij = X_i W X_j^T} for i != j.
 
-    The two directions of a pair must be exact transposes of each other, and
-    relabeling the nodes of a graph must relabel the edges; both hold only
-    when the bilinear weight is symmetric, so the learnable matrix enters as
-    (w_c + w_c^T) / 2.  Returns (e_ij, e_ji) with e_ji materialized as the
-    exact transpose of e_ij.
+    X_i is node i flattened to (HW, C).  W = (w_c + w_c^T) / 2 is symmetric, so
+    e_ji = e_ij^T exactly and relabeling nodes relabels edges.  W, each X_i W and
+    each X_j^T are formed once, then one matmul a pair; one node gives {}.
     """
-    if h_i.shape != h_j.shape:
-        raise ValueError(f"node shapes differ: {h_i.shape} vs {h_j.shape}")
+    if len({h.shape for h in states}) > 1:
+        raise ValueError(f"node shapes differ: {[h.shape for h in states]}")
+    n = len(states)
+    if n < 2:
+        return {}
     w_sym = engine.scalar_scale(engine.add(w_c, engine.transpose(w_c)), 0.5)
-    e_ij = engine.matmul(engine.matmul(_flatten(h_i), w_sym), engine.transpose(_flatten(h_j)))
-    return e_ij, engine.transpose(e_ij)
+    flat = [_flatten(h) for h in states]
+    projected = [engine.matmul(x, w_sym) for x in flat[:-1]]
+    flat_t = {j: engine.transpose(flat[j]) for j in range(1, n)}
+    edges = {(i, j): engine.matmul(projected[i], flat_t[j]) for i in range(n) for j in range(i + 1, n)}
+    edges.update({(j, i): engine.transpose(e_ij) for (i, j), e_ij in edges.items()})
+    return edges
 
 
 def neighbor_message(h_j, e_ij) -> Tensor:
@@ -177,12 +182,7 @@ def propagate_round(states, params: AttentionParams):
     """
     n = len(states)
     loop_edges = [intra_attention(h, params) for h in states]
-    line_edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            e_ij, e_ji = inter_attention(states[i], states[j], params.w_c)
-            line_edges[(i, j)] = e_ij
-            line_edges[(j, i)] = e_ji
+    line_edges = inter_attention(states, params.w_c)
     new_states = []
     for i in range(n):
         messages = [

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import head as head_mod
 from . import metrics
-from .engine import NonFiniteError, Tape, Tensor, active_tape, backward
+from .engine import NonFiniteError, Tape, active_tape, backward
 from .errors import DatasetError, FieldError
 from .graph import run_graph
 from .head import mean_loss
@@ -282,7 +282,7 @@ def _group_embedder(images, params: ModelParameters):
 
 
 def _image_key(image):
-    arr = np.asarray(image.data if isinstance(image, Tensor) else image)
+    arr = np.asarray(image)
     return arr.dtype, arr.shape, arr.tobytes()
 
 

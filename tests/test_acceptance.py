@@ -108,7 +108,8 @@ def test_criterion_2_oracle_equivalence():
                                              p.w_l.data, float(p.alpha.data))
         worst = max(worst, np.abs(got - want).max())
 
-        e_ij, e_ji = inter_attention(state, other, p.w_c)
+        edges = inter_attention([state, other], p.w_c)
+        e_ij, e_ji = edges[0, 1], edges[1, 0]
         w_eff = 0.5 * (p.w_c.data + p.w_c.data.T)
         want = oracles.inter_attention_loops(state.data.reshape(h * w, c),
                                              other.data.reshape(h * w, c), w_eff)
@@ -152,7 +153,8 @@ def test_criterion_3_algebraic_invariants():
         p = init_attention_params(c, int(rng.integers(2**31)), GraphConfig(k_iters=2))
         a = Tensor(rng.normal(size=(h, w, c)))
         b = Tensor(rng.normal(size=(h, w, c)))
-        e_ij, e_ji = inter_attention(a, b, p.w_c)
+        edges = inter_attention([a, b], p.w_c)
+        e_ij, e_ji = edges[0, 1], edges[1, 0]
         worst_transpose = max(worst_transpose, np.abs(e_ij.data - e_ji.data.T).max())
         soft = engine.row_softmax(e_ij).data
         worst_rowsum = max(worst_rowsum, np.abs(soft.sum(axis=1) - 1.0).max())

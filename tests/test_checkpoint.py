@@ -102,6 +102,18 @@ class TestWireFormat:
         with pytest.raises(FormatError, match="meta record 'meta.k_iters' has rank 1.*byte 24"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("named, meta, name, offset", [
+        # magic and version, then a 29-byte record: length, "w", rank, dim, two floats
+        ([("w", np.ones(2)), ("w", np.zeros(2))], {}, "w", 8 + 29),
+        # a 28-byte rank-0 record: length, "meta.k_iters", rank, one float
+        ([("meta.k_iters", np.asarray(2.0))], {"k_iters": 3}, "meta.k_iters", 8 + 28),
+    ], ids=["tensor", "meta"])
+    def test_duplicate_record_rejected_at_the_second(self, tmp_path, named, meta, name, offset):
+        path = tmp_path / "dup.agnn"
+        write_checkpoint(path, named, meta)
+        with pytest.raises(FormatError, match=f"duplicate record '{name}' at byte {offset}$"):
+            read_checkpoint(path)
+
     def test_any_bytes_give_records_or_format_error(self, tmp_path_factory):
         valid = _valid_blob(tmp_path_factory)
         path = tmp_path_factory.mktemp("fuzz") / "blob.agnn"

@@ -517,6 +517,15 @@ class TestMalformedFiles:
         code = self.infer(bad, tiny_dataset / "test" / "video_0000", tmp_path)
         assert "has rank 1" in self.assert_format_error(capsys, code, bad)
 
+    def test_eval_on_a_checkpoint_with_a_duplicate_record(self, tmp_path, tiny_dataset, capsys):
+        from agnnseg.checkpoint import write_checkpoint
+        named = [(n, t.data) for n, t in init_model(channels=4, downsample=4, seed=0).named_tensors()]
+        named.append((named[0][0], np.zeros_like(named[0][1])))
+        bad = tmp_path / "dup.agnn"
+        write_checkpoint(bad, named, meta={"channels": 4, "downsample": 4, "k_iters": 2, "gated": 1})
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(tiny_dataset)])
+        assert "duplicate record 'encoder.conv1.w'" in self.assert_format_error(capsys, code, bad)
+
     def test_truncated_frame(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys):
         vdir = tmp_path / "vid"
         vdir.mkdir()

@@ -1,5 +1,6 @@
 """Message-passing machinery against naive loop oracles, plus invariants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestInterAttention:
         rng = np.random.default_rng(3)
         h = random_state(rng, 2, 2, 3)
         w_c = t(np.eye(3))
-        e_ij, e_ji = inter_attention(h, h, w_c)
+        e_ij = inter_attention([h, h], w_c)[0, 1]
         flat = h.data.reshape(4, 3)
         np.testing.assert_allclose(e_ij.data, flat @ flat.T, atol=1e-12)
         np.testing.assert_allclose(e_ij.data, e_ij.data.T, atol=1e-12)
@@ -87,7 +88,7 @@ class TestInterAttention:
         p = random_params(2, rng)
         h_i = t(np.zeros((2, 2, 2)))
         h_j = random_state(rng)
-        e_ij, _ = inter_attention(h_i, h_j, p.w_c)
+        e_ij = inter_attention([h_i, h_j], p.w_c)[0, 1]
         np.testing.assert_array_equal(e_ij.data, np.zeros((4, 4)))
 
     def test_matches_loop_oracle_and_exact_transpose(self):
@@ -96,11 +97,30 @@ class TestInterAttention:
             h_i = t(rng.normal(size=(3, 1, 2)))
             h_j = t(rng.normal(size=(3, 1, 2)))
             w_c = t(rng.normal(size=(2, 2)))
-            e_ij, e_ji = inter_attention(h_i, h_j, w_c)
+            edges = inter_attention([h_i, h_j], w_c)
+            e_ij, e_ji = edges[0, 1], edges[1, 0]
             w_eff = 0.5 * (w_c.data + w_c.data.T)
             want = oracles.inter_attention_loops(h_i.data.reshape(3, 2), h_j.data.reshape(3, 2), w_eff)
             np.testing.assert_allclose(e_ij.data, want, atol=1e-12)
             np.testing.assert_array_equal(e_ij.data.T, e_ji.data)
+        # one round at N = 3: W_sym (3 ops), a reshape per node, X_i W for
+        # i < N - 1 and X_j^T for j > 0, then a matmul and a transpose per pair
+        n = 3
+        with Tape() as tape:
+            edges = inter_attention([t(rng.normal(size=(3, 1, 2))) for _ in range(n)], w_c)
+        pairs = n * (n - 1) // 2
+        assert sorted(edges) == [(i, j) for i in range(n) for j in range(n) if i != j]
+        assert Counter(r.kind for r in tape.records) == {
+            "transpose": 1 + (n - 1) + pairs, "add": 1, "scalar_scale": 1, "reshape": n,
+            "matmul": (n - 1) + pairs,
+        }
+        assert len(tape.records) == 3 + n + 2 * (n - 1) + n * (n - 1)
+
+    def test_single_node_has_no_line_edges_and_applies_nothing(self):
+        rng = np.random.default_rng(6)
+        with Tape() as tape:
+            assert inter_attention([random_state(rng)], t(rng.normal(size=(2, 2)))) == {}
+        assert tape.records == []
 
 
 class TestLoopMessage:
@@ -266,7 +286,7 @@ def reference_round(states, params, gated=True):
             if j == i:
                 msgs.append(intra_attention(states[i], params))
             else:
-                e_ij, _ = inter_attention(states[i], states[j], params.w_c)
+                e_ij = inter_attention([states[i], states[j]], params.w_c)[0, 1]
                 msgs.append(neighbor_message(states[j], e_ij))
         if gated:
             gates = [message_gate(m, params) for m in msgs]
@@ -363,7 +383,8 @@ class TestRounds:
         for _ in range(2):
             for i in range(3):
                 for j in range(i + 1, 3):
-                    e_ij, e_ji = inter_attention(states[i], states[j], p.w_c)
+                    edges = inter_attention([states[i], states[j]], p.w_c)
+                    e_ij, e_ji = edges[0, 1], edges[1, 0]
                     assert np.abs(e_ij.data - e_ji.data.T).max() < 1e-6
             states = propagate_round(states, p)
 
