@@ -44,7 +44,8 @@ def read_checkpoint(path):
     """Read back (tensors: dict name -> float64 array, meta: dict name -> float).
 
     Malformed content raises :class:`FormatError` at the offending byte; a
-    record whose name an earlier record used is malformed from its first byte.
+    record whose name an earlier record used is malformed from its first byte,
+    and a zero dim, which no tensor has, at that dim.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -79,6 +80,8 @@ def read_checkpoint(path):
             dims = []
             for _ in range(rank):
                 dims.append(struct.unpack_from("<I", blob, pos)[0])
+                if dims[-1] == 0:
+                    raise FormatError(path, pos, f"record {name!r} has a zero dim")
                 pos += 4
             count = math.prod(dims)  # exact: numpy's int64 product can wrap to 0
             nbytes = count * 8

@@ -2,7 +2,7 @@
 
 Each op kind pairs a forward function with a vector-Jacobian product.  All
 reductions run in a fixed index order (numpy kernels with deterministic loop
-structure), so replaying a tape reproduces outputs bit for bit.
+structure), so the same ops on the same inputs give the same bits.
 
 Conventions:
   * spatial grids are rank-3 ``(H, W, C)`` arrays,
@@ -435,7 +435,7 @@ _register("weighted_bce", keeps_finite=True)((_weighted_bce_forward, _weighted_b
 
 
 # ---------------------------------------------------------------------------
-# apply / backward / replay
+# apply / backward
 
 
 def apply(kind, inputs, attrs=None):
@@ -498,29 +498,6 @@ def backward(tape, seed_grad):
             prev = grads.get(iid)
             grads[iid] = gi if prev is None else prev + gi
     return GradientMap(grads)
-
-
-def replay(tape):
-    """Recompute every recorded output from the tape's leaf values.
-
-    Deterministic kernels make the result bit-identical to the original
-    forward pass.  Returns a dict mapping output tensor id to the recomputed
-    array.
-    """
-    values = dict(tape.leaf_values)
-    outputs = {}
-    for rec in tape.records:
-        try:
-            arrays = [values[iid] for iid in rec.input_ids]
-        except KeyError as missing:
-            raise ValueError(
-                f"tape replay: op {rec.kind!r} needs tensor {missing.args[0]} "
-                "which has no recorded value"
-            ) from None
-        out, _ = _OPS[rec.kind].forward(arrays, rec.attrs)
-        values[rec.output_id] = out
-        outputs[rec.output_id] = out
-    return outputs
 
 
 # ---------------------------------------------------------------------------

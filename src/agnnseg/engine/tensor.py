@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _id_counter = itertools.count()
-_active_tapes = []  # active tapes, innermost last; None while taping is suspended
+_active_tapes = []  # entered tapes, innermost last; apply records on the last
 
 
 class NonFiniteError(ValueError):
@@ -56,18 +56,6 @@ def _as_tensor_array(value):
 def active_tape():
     """The innermost active tape, or None."""
     return _active_tapes[-1] if _active_tapes else None
-
-
-class suspend_taping:
-    """Context manager that disables recording (used by finite differences)."""
-
-    def __enter__(self):
-        _active_tapes.append(None)
-        return self
-
-    def __exit__(self, *exc):
-        _active_tapes.pop()
-        return False
 
 
 class Tensor:
@@ -144,14 +132,12 @@ class Tape:
     """Ordered operation records forming a DAG in topological order.
 
     A tape is confined to one evaluation context: enter it, run the forward
-    computation, and hand it to :func:`agnnseg.engine.ops.backward`.  Leaf
-    values (tensors not produced on this tape) are captured by reference so
-    the whole computation can be replayed deterministically.
+    computation, and hand it to :func:`agnnseg.engine.ops.backward`.  It keeps
+    only what backward reads: per op, the kind, the operand and result ids,
+    the result shape, the attrs and the forward's saved state.
     """
 
     records: list = field(default_factory=list)
-    leaf_values: dict = field(default_factory=dict)
-    _produced: set = field(default_factory=set)
 
     def __enter__(self):
         _active_tapes.append(self)
@@ -163,13 +149,9 @@ class Tape:
         return False
 
     def record(self, kind, inputs, output, attrs, saved):
-        for t in inputs:
-            if t.id not in self._produced and t.id not in self.leaf_values:
-                self.leaf_values[t.id] = t.data
         self.records.append(
             TapeRecord(kind, tuple(t.id for t in inputs), output.id, output.shape, attrs, saved)
         )
-        self._produced.add(output.id)
 
 
 def tensor_fields(obj):

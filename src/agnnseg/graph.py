@@ -105,20 +105,20 @@ def intra_attention(h, params: AttentionParams) -> Tensor:
     return engine.add(engine.mul(mixed, params.alpha), h)
 
 
-def inter_attention(states, w_c):
+def inter_attention(flat, w_c):
     """All line edges of one round: {(i, j): e_ij = X_i W X_j^T} for i != j.
 
-    X_i is node i flattened to (HW, C).  W = (w_c + w_c^T) / 2 is symmetric, so
-    e_ji = e_ij^T exactly and relabeling nodes relabels edges.  W, each X_i W and
-    each X_j^T are formed once, then one matmul a pair; one node gives {}.
+    ``flat`` holds each node state X_i flattened to (HW, C).  W = (w_c + w_c^T)
+    / 2 is symmetric, so e_ji = e_ij^T exactly and relabeling nodes relabels
+    edges.  W, each X_i W and each X_j^T are formed once, then one matmul a
+    pair; one node gives {}.
     """
-    if len({h.shape for h in states}) > 1:
-        raise ValueError(f"node shapes differ: {[h.shape for h in states]}")
-    n = len(states)
+    if len({x.shape for x in flat}) > 1:
+        raise ValueError(f"node shapes differ: {[x.shape for x in flat]}")
+    n = len(flat)
     if n < 2:
         return {}
     w_sym = engine.scalar_scale(engine.add(w_c, engine.transpose(w_c)), 0.5)
-    flat = [_flatten(h) for h in states]
     projected = [engine.matmul(x, w_sym) for x in flat[:-1]]
     flat_t = {j: engine.transpose(flat[j]) for j in range(1, n)}
     edges = {(i, j): engine.matmul(projected[i], flat_t[j]) for i in range(n) for j in range(i + 1, n)}
@@ -126,14 +126,16 @@ def inter_attention(states, w_c):
     return edges
 
 
-def neighbor_message(h_j, e_ij) -> Tensor:
-    """Content of node j, mixed per-position by the row-softmaxed line edge."""
-    hh, ww, c = h_j.shape
-    n = hh * ww
+def neighbor_message(x_j, e_ij, grid_shape) -> Tensor:
+    """Content of node j, mixed per-position by the row-softmaxed line edge.
+
+    ``x_j`` is node j's (H, W, C) state flattened to (HW, C); the message is
+    an (H, W, C) grid of ``grid_shape``.
+    """
+    n = x_j.shape[0]
     if e_ij.shape != (n, n):
         raise ValueError(f"edge shape {e_ij.shape} does not match {n} positions")
-    mixed = engine.matmul(engine.row_softmax(e_ij), _flatten(h_j))
-    return engine.reshape(mixed, (hh, ww, c))
+    return engine.reshape(engine.matmul(engine.row_softmax(e_ij), x_j), grid_shape)
 
 
 def message_gate(m, params: AttentionParams) -> Tensor:
@@ -175,18 +177,20 @@ def convgru_update(h_prev, m, params: AttentionParams) -> Tensor:
 def propagate_round(states, params: AttentionParams):
     """One message-passing round with Jacobi semantics; returns the new states.
 
-    Every edge, message, and gate is computed from the incoming states; all
-    nodes then update simultaneously.  A node's own message is its loop edge.
+    Every edge, message, and gate is computed from the incoming states, each
+    flattened once for the line edges and the messages; all nodes then update
+    simultaneously.  A node's own message is its loop edge.
     Aggregation sums over senders in ascending node-index order, gated unless
     ``params.config.gated`` is off.
     """
     n = len(states)
     loop_edges = [intra_attention(h, params) for h in states]
-    line_edges = inter_attention(states, params.w_c)
+    flat = [_flatten(h) for h in states] if n > 1 else []
+    line_edges = inter_attention(flat, params.w_c)
     new_states = []
     for i in range(n):
         messages = [
-            loop_edges[i] if j == i else neighbor_message(states[j], line_edges[(i, j)])
+            loop_edges[i] if j == i else neighbor_message(flat[j], line_edges[(i, j)], states[j].shape)
             for j in range(n)
         ]
         gates = [message_gate(m, params) for m in messages] if params.config.gated else None

@@ -9,6 +9,9 @@ relative paths and bytes, for byte-identity checks on written files,
 scene rasterizers and the background gradient are index-grid (``np.mgrid``)
 references for the broadcast versions in ``agnnseg.synthdata``, and
 ``im2col_loops`` pads with ``np.pad`` before its window loop.
+``ReplayTape`` and ``replay`` run a tape's recorded forwards again from the
+operand arrays it was given, for the bit-identical replay check; they use
+the engine's own kernels, so that check compares the engine with itself.
 """
 
 import hashlib
@@ -16,6 +19,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from agnnseg.engine import Tape
+from agnnseg.engine.ops import _OPS
 
 
 def tree_hash(root):
@@ -410,3 +416,41 @@ def read_pnm_file_loops(blob, magic, samples):
             return np.stack(images)
         if blob[pos : pos + 2] != magic:
             raise PnmLoopsError(pos, f"trailing data: {len(blob) - pos} extra bytes")
+
+
+class ReplayTape(Tape):
+    """A tape that also keeps, by reference, the array of each leaf: each
+    operand that no earlier record on this tape produced."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaf_values = {}
+        self._produced = set()
+
+    def record(self, kind, inputs, output, attrs, saved):
+        for t in inputs:
+            if t.id not in self._produced:
+                self.leaf_values.setdefault(t.id, t.data)
+        super().record(kind, inputs, output, attrs, saved)
+        self._produced.add(output.id)
+
+
+def replay(tape):
+    """Recompute every output recorded on a ``ReplayTape`` from its leaf values.
+
+    Returns a dict from output tensor id to the recomputed array.
+    """
+    values = dict(tape.leaf_values)
+    outputs = {}
+    for rec in tape.records:
+        try:
+            arrays = [values[iid] for iid in rec.input_ids]
+        except KeyError as missing:
+            raise ValueError(
+                f"tape replay: op {rec.kind!r} needs tensor {missing.args[0]} "
+                "which has no recorded value"
+            ) from None
+        out, _ = _OPS[rec.kind].forward(arrays, rec.attrs)
+        values[rec.output_id] = out
+        outputs[rec.output_id] = out
+    return outputs

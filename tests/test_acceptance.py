@@ -108,7 +108,9 @@ def test_criterion_2_oracle_equivalence():
                                              p.w_l.data, float(p.alpha.data))
         worst = max(worst, np.abs(got - want).max())
 
-        edges = inter_attention([state, other], p.w_c)
+        flat_state = Tensor(state.data.reshape(h * w, c))
+        flat_other = Tensor(other.data.reshape(h * w, c))
+        edges = inter_attention([flat_state, flat_other], p.w_c)
         e_ij, e_ji = edges[0, 1], edges[1, 0]
         w_eff = 0.5 * (p.w_c.data + p.w_c.data.T)
         want = oracles.inter_attention_loops(state.data.reshape(h * w, c),
@@ -116,7 +118,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, np.abs(e_ij.data - want).max())
         worst = max(worst, np.abs(e_ji.data - want.T).max())
 
-        got = neighbor_message(other, e_ij).data.reshape(h * w, c)
+        got = neighbor_message(flat_other, e_ij, (h, w, c)).data.reshape(h * w, c)
         want = oracles.neighbor_message_loops(other.data.reshape(h * w, c), e_ij.data)
         worst = max(worst, np.abs(got - want).max())
 
@@ -153,7 +155,7 @@ def test_criterion_3_algebraic_invariants():
         p = init_attention_params(c, int(rng.integers(2**31)), GraphConfig(k_iters=2))
         a = Tensor(rng.normal(size=(h, w, c)))
         b = Tensor(rng.normal(size=(h, w, c)))
-        edges = inter_attention([a, b], p.w_c)
+        edges = inter_attention([Tensor(a.data.reshape(h * w, c)), Tensor(b.data.reshape(h * w, c))], p.w_c)
         e_ij, e_ji = edges[0, 1], edges[1, 0]
         worst_transpose = max(worst_transpose, np.abs(e_ij.data - e_ji.data.T).max())
         soft = engine.row_softmax(e_ij).data

@@ -20,10 +20,14 @@ def _valid_blob(tmp_path_factory):
     return path.read_bytes()
 
 
+BOUNDARY_DIMS = (0, 1, 2**31, 2**32 - 1)
+
+
 @st.composite
 def checkpoint_bytes(draw, valid):
-    """Random bytes, or a valid checkpoint cut short, overwritten or extended."""
-    kind = draw(st.sampled_from(["random", "cut", "overwrite", "extend"]))
+    """Random bytes, or a valid checkpoint cut short, overwritten or extended,
+    or followed by a record whose dims are drawn from ``BOUNDARY_DIMS``."""
+    kind = draw(st.sampled_from(["random", "cut", "overwrite", "extend", "dims"]))
     if kind == "random":
         return draw(st.one_of(st.binary(max_size=64),
                               st.binary(max_size=48).map(lambda b: b"AGNN\x01\x00\x00\x00" + b)))
@@ -31,6 +35,10 @@ def checkpoint_bytes(draw, valid):
         return valid[: draw(st.integers(0, len(valid)))]
     if kind == "extend":
         return valid + draw(st.binary(min_size=1, max_size=24))
+    if kind == "dims":
+        dims = draw(st.lists(st.sampled_from(BOUNDARY_DIMS), min_size=1, max_size=4))
+        record = struct.pack(f"<I1s{len(dims) + 1}I", 1, b"z", len(dims), *dims)
+        return valid + record + draw(st.binary(max_size=16))
     at = draw(st.integers(0, len(valid) - 1))
     patch = draw(st.binary(min_size=1, max_size=4))
     return valid[:at] + patch + valid[at + len(patch):]
@@ -84,6 +92,16 @@ class TestWireFormat:
         header = b"AGNN" + struct.pack("<2I", 1, 1) + b"w" + struct.pack("<I", 4)
         path.write_bytes(header + struct.pack("<4I", *[2**16] * 4) + b"\x00" * 8)
         with pytest.raises(FormatError, match="truncated payload"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1), (0, 0, 1071644672, 12), (2, 0)])
+    def test_zero_dim_rejected_at_that_dim(self, tmp_path, dims):
+        path = tmp_path / "zero.agnn"
+        # version 1, a one-byte name, the rank at byte 13 and the dims after it
+        header = b"AGNN" + struct.pack("<2I", 1, 1) + b"w" + struct.pack("<I", len(dims))
+        path.write_bytes(header + struct.pack(f"<{len(dims)}I", *dims))
+        offset = 17 + 4 * dims.index(0)
+        with pytest.raises(FormatError, match=f"'w' has a zero dim at byte {offset}$"):
             read_checkpoint(path)
 
     def test_truncated_payload_reports_position(self, tmp_path):

@@ -1,6 +1,7 @@
 """Exit codes, file outputs, and determinism of the command-line interface."""
 
 import dataclasses
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,15 @@ class TestMalformedFiles:
         write_checkpoint(bad, named, meta={"channels": 4, "downsample": 4, "k_iters": 2, "gated": 1})
         code = main(["eval", "--checkpoint", str(bad), "--data", str(tiny_dataset)])
         assert "duplicate record 'encoder.conv1.w'" in self.assert_format_error(capsys, code, bad)
+
+    def test_eval_on_a_checkpoint_with_a_zero_dim_record(self, tmp_path, tiny_dataset,
+                                                         tiny_checkpoint, capsys):
+        # numpy cannot shape an empty buffer as (0, 2**32 - 1, 2**32 - 1)
+        bad = tmp_path / "zero_dim.agnn"
+        record = struct.pack("<I1s4I", 1, b"z", 3, 0, 2**32 - 1, 2**32 - 1)
+        bad.write_bytes(tiny_checkpoint.read_bytes() + record)
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(tiny_dataset)])
+        assert "has a zero dim" in self.assert_format_error(capsys, code, bad)
 
     def test_truncated_frame(self, tmp_path, tiny_dataset, tiny_checkpoint, capsys):
         vdir = tmp_path / "vid"

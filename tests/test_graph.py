@@ -44,6 +44,11 @@ def random_state(rng, h=2, w=2, c=2):
     return t(rng.normal(size=(h, w, c)))
 
 
+def flattened(h):
+    """An (H, W, C) state's values as an (HW, C) tensor, as a round flattens it."""
+    return t(h.data.reshape(-1, h.shape[2]))
+
+
 class TestIntraAttention:
     def test_alpha_zero_is_identity(self):
         rng = np.random.default_rng(0)
@@ -78,7 +83,7 @@ class TestInterAttention:
         rng = np.random.default_rng(3)
         h = random_state(rng, 2, 2, 3)
         w_c = t(np.eye(3))
-        e_ij = inter_attention([h, h], w_c)[0, 1]
+        e_ij = inter_attention([flattened(h), flattened(h)], w_c)[0, 1]
         flat = h.data.reshape(4, 3)
         np.testing.assert_allclose(e_ij.data, flat @ flat.T, atol=1e-12)
         np.testing.assert_allclose(e_ij.data, e_ij.data.T, atol=1e-12)
@@ -88,7 +93,7 @@ class TestInterAttention:
         p = random_params(2, rng)
         h_i = t(np.zeros((2, 2, 2)))
         h_j = random_state(rng)
-        e_ij = inter_attention([h_i, h_j], p.w_c)[0, 1]
+        e_ij = inter_attention([flattened(h_i), flattened(h_j)], p.w_c)[0, 1]
         np.testing.assert_array_equal(e_ij.data, np.zeros((4, 4)))
 
     def test_matches_loop_oracle_and_exact_transpose(self):
@@ -97,29 +102,29 @@ class TestInterAttention:
             h_i = t(rng.normal(size=(3, 1, 2)))
             h_j = t(rng.normal(size=(3, 1, 2)))
             w_c = t(rng.normal(size=(2, 2)))
-            edges = inter_attention([h_i, h_j], w_c)
+            edges = inter_attention([flattened(h_i), flattened(h_j)], w_c)
             e_ij, e_ji = edges[0, 1], edges[1, 0]
             w_eff = 0.5 * (w_c.data + w_c.data.T)
             want = oracles.inter_attention_loops(h_i.data.reshape(3, 2), h_j.data.reshape(3, 2), w_eff)
             np.testing.assert_allclose(e_ij.data, want, atol=1e-12)
             np.testing.assert_array_equal(e_ij.data.T, e_ji.data)
-        # one round at N = 3: W_sym (3 ops), a reshape per node, X_i W for
-        # i < N - 1 and X_j^T for j > 0, then a matmul and a transpose per pair
+        # one round at N = 3: W_sym (3 ops), X_i W for i < N - 1 and X_j^T for
+        # j > 0, then a matmul and a transpose per pair
         n = 3
         with Tape() as tape:
-            edges = inter_attention([t(rng.normal(size=(3, 1, 2))) for _ in range(n)], w_c)
+            edges = inter_attention([t(rng.normal(size=(3, 2))) for _ in range(n)], w_c)
         pairs = n * (n - 1) // 2
         assert sorted(edges) == [(i, j) for i in range(n) for j in range(n) if i != j]
         assert Counter(r.kind for r in tape.records) == {
-            "transpose": 1 + (n - 1) + pairs, "add": 1, "scalar_scale": 1, "reshape": n,
+            "transpose": 1 + (n - 1) + pairs, "add": 1, "scalar_scale": 1,
             "matmul": (n - 1) + pairs,
         }
-        assert len(tape.records) == 3 + n + 2 * (n - 1) + n * (n - 1)
+        assert len(tape.records) == 3 + 2 * (n - 1) + n * (n - 1)
 
     def test_single_node_has_no_line_edges_and_applies_nothing(self):
         rng = np.random.default_rng(6)
         with Tape() as tape:
-            assert inter_attention([random_state(rng)], t(rng.normal(size=(2, 2)))) == {}
+            assert inter_attention([flattened(random_state(rng))], t(rng.normal(size=(2, 2)))) == {}
         assert tape.records == []
 
 
@@ -136,7 +141,7 @@ class TestNeighborMessage:
         rng = np.random.default_rng(8)
         h_j = random_state(rng, 2, 2, 3)
         e = t(np.zeros((4, 4)))
-        out = neighbor_message(h_j, e).data.reshape(4, 3)
+        out = neighbor_message(flattened(h_j), e, h_j.shape).data.reshape(4, 3)
         mean = h_j.data.reshape(4, 3).mean(axis=0)
         for row in out:
             np.testing.assert_allclose(row, mean, atol=1e-12)
@@ -149,7 +154,7 @@ class TestNeighborMessage:
         e = np.zeros((4, 4))
         for r, c in enumerate(pick):
             e[r, c] = 1e6
-        out = neighbor_message(h_j, t(e)).data.reshape(4, 3)
+        out = neighbor_message(flattened(h_j), t(e), h_j.shape).data.reshape(4, 3)
         np.testing.assert_allclose(out, flat[pick], atol=1e-9)
 
     def test_matches_loop_oracle(self):
@@ -157,7 +162,7 @@ class TestNeighborMessage:
         for _ in range(25):
             h_j = t(rng.normal(size=(2, 2, 3)))
             e = t(rng.normal(size=(4, 4)))
-            got = neighbor_message(h_j, e).data.reshape(4, 3)
+            got = neighbor_message(flattened(h_j), e, h_j.shape).data.reshape(4, 3)
             want = oracles.neighbor_message_loops(h_j.data.reshape(4, 3), e.data)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -165,7 +170,7 @@ class TestNeighborMessage:
         rng = np.random.default_rng(11)
         h_j = t(rng.normal(size=(2, 2, 1)))
         e = t(rng.normal(size=(4, 4)))
-        out = neighbor_message(h_j, e).data.reshape(4)
+        out = neighbor_message(flattened(h_j), e, h_j.shape).data.reshape(4)
         lo, hi = h_j.data.min(), h_j.data.max()
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
@@ -286,8 +291,8 @@ def reference_round(states, params, gated=True):
             if j == i:
                 msgs.append(intra_attention(states[i], params))
             else:
-                e_ij = inter_attention([states[i], states[j]], params.w_c)[0, 1]
-                msgs.append(neighbor_message(states[j], e_ij))
+                e_ij = inter_attention([flattened(states[i]), flattened(states[j])], params.w_c)[0, 1]
+                msgs.append(neighbor_message(flattened(states[j]), e_ij, states[j].shape))
         if gated:
             gates = [message_gate(m, params) for m in msgs]
             agg = aggregate_messages(msgs, gates)
@@ -328,6 +333,25 @@ class TestRounds:
         gate = message_gate(loop, p)
         want = convgru_update(h, aggregate_messages([loop], [gate]), p)
         np.testing.assert_array_equal(out.data, want.data)
+
+    def test_round_applies_by_kind(self):
+        # N = 3, gated.  Per node: a loop edge (3 convs, 4 reshapes, a
+        # transpose, 2 matmuls, a row_softmax, a mul and an add), its state
+        # flattened once, 3 gates (a conv, a pool and a sigmoid each), 3 gated
+        # terms summed by 2 adds, and a GRU (2 concats, 3 convs, 3 sigmoids or
+        # tanhs, 2 muls, 2 adds and a scalar_scale).  Per ordered pair: a
+        # message (a row_softmax, a matmul and a reshape back to the grid).
+        # The line edges add 3 + 2 (N - 1) + N (N - 1) = 13 ops.
+        rng = np.random.default_rng(38)
+        p = random_params(2, rng)
+        with Tape() as tape:
+            propagate_round([random_state(rng) for _ in range(3)], p)
+        assert Counter(r.kind for r in tape.records) == {
+            "conv2d": 27, "reshape": 21, "matmul": 17, "sigmoid": 15, "add": 16, "transpose": 9,
+            "row_softmax": 9, "mul": 9, "global_avg_pool": 9, "channel_broadcast_mul": 9,
+            "concat_channels": 6, "scalar_scale": 4, "tanh": 3,
+        }
+        assert len(tape.records) == 154
 
     def test_run_graph_k1_is_one_round(self):
         rng = np.random.default_rng(26)
@@ -383,7 +407,7 @@ class TestRounds:
         for _ in range(2):
             for i in range(3):
                 for j in range(i + 1, 3):
-                    edges = inter_attention([states[i], states[j]], p.w_c)
+                    edges = inter_attention([flattened(states[i]), flattened(states[j])], p.w_c)
                     e_ij, e_ji = edges[0, 1], edges[1, 0]
                     assert np.abs(e_ij.data - e_ji.data.T).max() < 1e-6
             states = propagate_round(states, p)

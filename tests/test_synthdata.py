@@ -69,6 +69,9 @@ def _number(value):
 
 
 _FORMATS = [(b"P5", 1), (b"P6", 3)]
+BOUNDARY_DIMS = (0, 1, 2**31, 2**32 - 1)
+PAYLOAD_CAP = 64  # bytes drawn at most: a boundary dim states far more
+_dim = st.one_of(st.integers(0, 3), st.sampled_from(BOUNDARY_DIMS))
 
 
 @st.composite
@@ -76,20 +79,23 @@ def pnm_layouts(draw, magic=None, dims=None):
     """A P5/P6 file with random header spacing and comments, maybe cut short.
 
     ``magic`` and ``dims`` (width, height) fix the format and the size the
-    header states; by default both are drawn.
+    header states; by default both are drawn, each dim from 0-3 or
+    ``BOUNDARY_DIMS``.  A payload is at most ``PAYLOAD_CAP`` bytes, so a file
+    whose header states more is cut short.
     """
     if magic is None:
         magic, samples = draw(st.sampled_from(_FORMATS))
     else:
         samples = dict(_FORMATS)[magic]
-    width, height = dims or (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    width, height = dims or (draw(_dim), draw(_dim))
     maxval = draw(st.sampled_from([255, 255, 255, 254, 0]))
     header = magic
     for value in (width, height, maxval):
         header += draw(_gap) + draw(_number(value))
     header += draw(st.sampled_from(_WS + [b"#", b"x"]))
     size = width * height * samples + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    blob = header + draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    size = min(max(size, 0), PAYLOAD_CAP)
+    blob = header + draw(st.binary(min_size=size, max_size=size))
     cut = draw(st.one_of(st.none(), st.integers(0, len(blob))))
     return magic, samples, blob if cut is None else blob[:cut]
 
@@ -138,7 +144,8 @@ def pnm_files(draw):
 
 
 def _any_pnm_bytes():
-    prefixes = st.sampled_from([b"", b"P5", b"P6", b"P5 1 1 255\n", b"P6\n1 2\n255\n", b"P5#\n"])
+    prefixes = st.sampled_from([b"", b"P5", b"P6", b"P5 1 1 255\n", b"P6\n1 2\n255\n", b"P5#\n"]
+                               + [b"P5 %d %d 255\n" % (d, d) for d in BOUNDARY_DIMS])
     return st.one_of(st.binary(max_size=64), st.tuples(prefixes, st.binary(max_size=32)).map(
         lambda pair: pair[0] + pair[1]))
 
@@ -463,7 +470,8 @@ class TestDataset:
         fields = st.tuples(
             st.sampled_from(["train", "test", "coseg"]) | junk,
             st.sampled_from(["video_0000", "video_0001", "video_0009"]) | junk,
-            st.sampled_from(["1", "2", "3", "0", "-1", " 2", "2.0"]) | junk,
+            st.sampled_from(["1", "2", "3", "0", "-1", " 2", "2.0"]
+                            + [str(d) for d in BOUNDARY_DIMS]) | junk,
             st.sampled_from(["ellipse", ""]),
         )
         escapes = st.sampled_from([("..", "outside"), ("train", "../../outside")]).map(
