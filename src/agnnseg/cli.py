@@ -10,8 +10,7 @@ range from the dataclass field that owns it: canvas and frames_per_video from
 SyntheticVideoSpec.canvas and .num_frames; channels and downsample from
 EncoderConfig; k_iters from GraphConfig; n_prime_train, lr, momentum, iters
 and seed from TrainConfig.n_prime, .lr, .momentum, .iterations and .seed
-(seed also seeds gen-data).  out_dir is the gen-data output without --out.
-Only gen-data reads canvas and frames_per_video, and checks that downsample
+(seed also seeds gen-data).  Only gen-data reads canvas and frames_per_video, and checks that downsample
 divides canvas.  The checkpoint carries channels, downsample, K and the
 gating to infer and eval.
 
@@ -66,7 +65,6 @@ def parse_config(path):
     Each value is parsed with the type of its default.
     """
     values = {key: getattr(cls, name) for key, (cls, name) in CONFIG_FIELDS.items()}
-    values["out_dir"] = "."
     if path is None:
         return values
     try:
@@ -115,7 +113,7 @@ def cmd_gen_data(args):
     downsample = _build(args.config, EncoderConfig, cfg).downsample
     if spec.canvas % downsample:
         raise ConfigError(f"canvas {spec.canvas} not divisible by downsample {downsample}")
-    out = Path(args.out) if args.out else Path(cfg["out_dir"])
+    out = Path(args.out)
     try:
         generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
     except FieldError as exc:  # a negative seed, raised before anything is created
@@ -188,7 +186,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a generated dataset")

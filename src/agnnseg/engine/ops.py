@@ -310,8 +310,8 @@ _register("add")((_add_forward, _add_vjp))
 def _mul_forward(arrays, attrs):
     a, b = arrays
     _require(
-        a.shape == b.shape or a.ndim == 0 or b.ndim == 0,
-        "mul needs equal shapes or a scalar operand: {} vs {}", a.shape, b.shape,
+        a.shape == b.shape or b.ndim == 0,
+        "mul needs equal shapes or a scalar second operand: {} vs {}", a.shape, b.shape,
     )
     return a * b, {"a": a, "b": b}
 
@@ -320,8 +320,6 @@ def _mul_vjp(g, saved, attrs):
     a, b = saved["a"], saved["b"]
     ga = g * b
     gb = g * a
-    if a.ndim == 0 and ga.ndim != 0:
-        ga = np.asarray(ga.sum())
     if b.ndim == 0 and gb.ndim != 0:
         gb = np.asarray(gb.sum())
     return ga, gb

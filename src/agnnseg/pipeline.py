@@ -16,7 +16,7 @@ import numpy as np
 
 from . import head as head_mod
 from . import metrics
-from .engine import NonFiniteError, Tape, active_tape, backward
+from .engine import NonFiniteError, Tape, backward
 from .errors import DatasetError, FieldError
 from .graph import run_graph
 from .head import mean_loss
@@ -224,10 +224,10 @@ def iocs_infer(images, target_index, params: ModelParameters, n_prime=COSEG_N_PR
     embeddings of the last group seen are reused: a call takes them when
     its images equal that group's in number, dtype, shape and bytes and
     ``params.encoder`` holds the same config and ``Tensor.data`` arrays
-    (``is``), so training or loading a model encodes again.  Under an
-    active tape every image is encoded afresh and nothing is kept, so the
-    encoder is recorded.  Co-segmenting every image of a group of N thus
-    takes N encodes instead of N^2.
+    (``is``), so training or loading a model encodes again.  Co-segmenting
+    every image of a group of N thus takes N encodes instead of N^2.  A tape
+    active during a call records only the encodes that call makes; the map
+    it returns is a plain array, through which no gradient passes.
     """
     images = list(images)
     n = len(images)
@@ -262,8 +262,6 @@ _last_group = None
 
 def _group_embedder(images, params: ModelParameters):
     """``embed(indices)``: the node states of those images, in that order."""
-    if active_tape() is not None:
-        return lambda indices: encode_frames([images[i] for i in indices], params)
     global _last_group
     keys = [_image_key(image) for image in images]
     encoder = (params.encoder.config,) + tuple(t.data for _, t in params.encoder.named())

@@ -29,7 +29,7 @@ from .errors import FieldError, FormatError
 
 SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
-_SPLIT_STREAMS = {"train": 0, "test": 1, "coseg": 2, "static": 3}
+_SPLIT_STREAMS = {"train": 0, "test": 1, "coseg": 2}
 
 DISTRACTOR_COUNT = 1  # other-class shapes per video and per static scene
 FG_HALF_FRAC = (0.16, 0.22)  # foreground base semi-axes, as canvas fractions
@@ -55,15 +55,16 @@ def _check_scene(canvas, shape_class):
 
 @dataclass(frozen=True)
 class SyntheticVideoSpec:
+    """The two video settings a config sets; ``render_video`` takes the
+    foreground class and the seed of each video."""
+
     num_frames: int = 24
     canvas: int = 64
-    shape_class: str = "ellipse"
-    seed: int = 0
 
     def __post_init__(self):
-        _check_scene(self.canvas, self.shape_class)
-        if self.num_frames < 1:
-            raise FieldError("num_frames", f"must be >= 1, got {self.num_frames}")
+        for name, floor in (("canvas", 8), ("num_frames", 1)):
+            if getattr(self, name) < floor:
+                raise FieldError(name, f"must be >= {floor}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,17 @@ def _other_classes(shape_class):
     return [c for c in SHAPE_CLASSES if c != shape_class]
 
 
-def render_video(spec: SyntheticVideoSpec):
-    """Frames in [0, 1] and exact boolean masks for one synthetic video."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+def render_video(spec: SyntheticVideoSpec, shape_class, seed):
+    """Frames in [0, 1] and exact boolean masks for one synthetic video whose
+    foreground is of ``shape_class``, drawn from ``seed`` alone."""
+    _check_scene(spec.canvas, shape_class)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     canvas, n = spec.canvas, spec.num_frames
     bg_base, bg = _background(rng, canvas)
-    fg = _Track(rng, canvas, spec.shape_class, FG_HALF_FRAC, bg_base)
+    fg = _Track(rng, canvas, shape_class, FG_HALF_FRAC, bg_base)
     distractors = []
     for _ in range(DISTRACTOR_COUNT):
-        cls = _other_classes(spec.shape_class)[rng.integers(len(_other_classes(spec.shape_class)))]
+        cls = _other_classes(shape_class)[rng.integers(len(_other_classes(shape_class)))]
         track = _Track(rng, canvas, cls, DISTRACTOR_HALF_FRAC, bg_base)
         if n > 1:
             length = int(rng.integers(max(1, n // 3), n))  # strict subset of frames
@@ -266,32 +269,24 @@ def generate_dataset(out_dir, seed, num_frames=SyntheticVideoSpec.num_frames,
     Foreground classes cycle round-robin over videos so every split covers
     all classes.  Co-seg images are stored as one-frame videos grouped by
     class in the manifest.  A negative seed raises FieldError before
-    anything is created.
+    anything is created; so does a canvas or frame count outside
+    SyntheticVideoSpec's range.  A directory that cannot be written raises
+    OSError naming the path.
     """
     if seed < 0:
         raise FieldError("seed", f"must be >= 0, got {seed}")
+    spec = SyntheticVideoSpec(num_frames=num_frames, canvas=canvas)
     root = Path(out_dir)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        probe = root / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as exc:
-        raise OSError(f"output directory {root} is not writable: {exc}") from exc
+    root.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for split, count in (("train", TRAIN_VIDEOS), ("test", TEST_VIDEOS)):
         for i in range(count):
-            spec = SyntheticVideoSpec(
-                num_frames=num_frames,
-                canvas=canvas,
-                shape_class=SHAPE_CLASSES[i % len(SHAPE_CLASSES)],
-                seed=int(_video_seed(seed, split, i)),
-            )
-            frames, masks = render_video(spec)
+            shape_class = SHAPE_CLASSES[i % len(SHAPE_CLASSES)]
+            frames, masks = render_video(spec, shape_class, int(_video_seed(seed, split, i)))
             video_id = f"video_{i:04d}"
             _write_video(root / split / video_id, frames, masks)
-            entries.append(ManifestEntry(split, video_id, num_frames, spec.shape_class))
+            entries.append(ManifestEntry(split, video_id, num_frames, shape_class))
 
     index = 0
     for cls in SHAPE_CLASSES:

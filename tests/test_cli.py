@@ -60,7 +60,7 @@ class TestConfig:
 
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = parse_config(None)
-        assert set(cfg) == set(cli.CONFIG_FIELDS) | {"out_dir"}
+        assert set(cfg) == set(cli.CONFIG_FIELDS)
         for key, (cls, name) in cli.CONFIG_FIELDS.items():
             assert cfg[key] == getattr(cls(), name), key
 

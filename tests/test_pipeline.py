@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import agnnseg.pipeline as pl
 from agnnseg import cli, head, model
-from agnnseg.engine import Tape, Tensor
+from agnnseg.engine import Tensor
 from agnnseg.graph import GraphConfig, run_graph
 from agnnseg.head import readout
 from agnnseg.model import encode_frames, init_model, load_model, save_model
@@ -340,17 +340,6 @@ class TestIocs:
         params.encoder.conv2_b.data = params.encoder.conv2_b.data.copy()
         assert encodes(images) == 10
         assert encodes(images) == 0
-
-    def test_tape_encodes_every_call(self, coseg_stubs):
-        params = init_model(channels=CHANNELS, downsample=4, seed=4)
-        images = coseg_group(seeds=range(10))
-        iocs_infer(images, 0, params)
-        with Tape() as tape:
-            iocs_infer(images, 1, params)
-            iocs_infer(images, 1, params)
-        assert len(coseg_stubs.encoded) == 10 + 2 * 10
-        # four convs an encode, all on the tape
-        assert sum(r.kind == "conv2d" for r in tape.records) == 2 * 10 * 4
 
     def test_bad_index_rejected(self, dataset):
         params = init_model(channels=CHANNELS, downsample=4, seed=0)

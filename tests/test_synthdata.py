@@ -367,29 +367,27 @@ class TestPnm:
 
 class TestRenderVideo:
     def test_deterministic(self):
-        spec = SyntheticVideoSpec(num_frames=4, canvas=32, seed=11)
-        f1, m1 = render_video(spec)
-        f2, m2 = render_video(spec)
+        spec = SyntheticVideoSpec(num_frames=4, canvas=32)
+        f1, m1 = render_video(spec, "ellipse", 11)
+        f2, m2 = render_video(spec, "ellipse", 11)
         assert f1.tobytes() == f2.tobytes() and m1.tobytes() == m2.tobytes()
 
     def test_masks_nonempty_and_above_area_floor(self):
         for seed in range(5):
-            spec = SyntheticVideoSpec(num_frames=6, canvas=64, seed=seed)
-            _, masks = render_video(spec)
+            _, masks = render_video(SyntheticVideoSpec(num_frames=6, canvas=64), "ellipse", seed)
             for m in masks:
                 assert m.sum() >= 0.02 * 64 * 64
 
     def test_mask_equals_rasterized_area(self):
         # the mask is exactly the foreground raster: every mask pixel shows
         # the foreground colour in the frame
-        spec = SyntheticVideoSpec(num_frames=5, canvas=48, seed=3)
-        frames, masks = render_video(spec)
+        frames, masks = render_video(SyntheticVideoSpec(num_frames=5, canvas=48), "ellipse", 3)
         for frame, mask in zip(frames, masks):
             colors = frame[mask]
             assert np.all(np.abs(colors - colors[0]) < 1e-12)
 
     def test_values_in_unit_range(self):
-        frames, _ = render_video(SyntheticVideoSpec(num_frames=3, canvas=32, seed=9))
+        frames, _ = render_video(SyntheticVideoSpec(num_frames=3, canvas=32), "ellipse", 9)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
 
 
@@ -536,9 +534,8 @@ class TestDataset:
         monkeypatch.setattr(synthdata, "_Track", SpyTrack)
         for seed in range(8):
             tracks.clear()
-            spec = SyntheticVideoSpec(num_frames=6, canvas=32, shape_class="rectangle",
-                                      seed=seed)
-            frames, masks = render_video(spec)
+            spec = SyntheticVideoSpec(num_frames=6, canvas=32)
+            frames, masks = render_video(spec, "rectangle", seed)
             # the foreground track is the one that draws every returned mask
             fg = [t for t in tracks if len(t.drawn) == spec.num_frames
                   and all(np.array_equal(d, m) for d, m in zip(t.drawn, masks))]
