@@ -1,18 +1,19 @@
 """Command-line entry point: gen-data, train, infer, eval.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 config parse error, out-of-range config value or bad option
-value, 2 I/O error, malformed input file or too small a dataset, 3 training
-divergence, 4 checkpoint/config shape mismatch.
+0 success, 1 usage error (an unknown command or option, a missing or
+malformed option), config parse error, out-of-range config value or bad
+option value, 2 I/O error, malformed input file or a dataset that cannot
+serve the command, 3 training divergence, 4 checkpoint/config shape mismatch.
 
 A --config file holds key=value lines.  Each key takes its default, type and
 range from the dataclass field that owns it: canvas and frames_per_video from
 SyntheticVideoSpec.canvas and .num_frames; channels and downsample from
 EncoderConfig; k_iters from GraphConfig; n_prime_train, lr, momentum, iters
 and seed from TrainConfig.n_prime, .lr, .momentum, .iterations and .seed
-(seed also seeds gen-data).  Only gen-data reads canvas and frames_per_video, and checks that downsample
-divides canvas.  The checkpoint carries channels, downsample, K and the
-gating to infer and eval.
+(seed also seeds gen-data).  Only gen-data reads canvas and frames_per_video,
+and checks that downsample divides canvas.  The checkpoint carries channels,
+downsample, K and the gating to infer and eval.
 
 infer reads the frames of --video-dir DIR from DIR/frames.ppm, P6 images back
 to back as gen-data writes them (``cat frame_*.ppm > frames.ppm`` makes one).
@@ -116,7 +117,7 @@ def cmd_gen_data(args):
     out = Path(args.out)
     try:
         generate_dataset(out, seed=cfg["seed"], num_frames=spec.num_frames, canvas=spec.canvas)
-    except FieldError as exc:  # a negative seed, raised before anything is created
+    except FieldError as exc:  # a negative seed, or a canvas too small for a foreground
         raise ConfigError(f"{args.config}: {exc}") from exc
     print(out / "manifest.txt")
     return EXIT_OK
@@ -215,7 +216,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -142,12 +142,9 @@ def load_model(path):
         )
     try:
         graph = GraphConfig(k_iters=int(meta["k_iters"]), gated=meta["gated"] == 1.0)
+        params = init_model(channels, int(meta["downsample"]), graph=graph)
     except FieldError as exc:
         raise CheckpointMismatchError(f"{path}: meta.{exc.field} {exc.reason}") from exc
-    try:
-        params = init_model(channels, int(meta["downsample"]), graph=graph)
-    except ValueError as exc:
-        raise CheckpointMismatchError(f"{path}: {exc}") from exc
     expected = params.named_tensors()
     missing = [name for name, _ in expected if name not in tensors]
     if missing:

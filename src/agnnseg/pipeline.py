@@ -29,6 +29,8 @@ from .model import (
     static_loss,
 )
 from .synthdata import (
+    COSEG_SPLIT,
+    MIN_CANVAS,
     DatasetManifest,
     downsample_mask,
     load_video,
@@ -122,10 +124,12 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
     with fewer than ``config.n_prime`` frames; a video whose size the
     downsample factor does not divide raises CheckpointMismatchError.  Both
     name the video's directory.  Videos are loaded and checked one at a
-    time, so a bad video is reported before any later video is read.  Static
-    and dynamic iterations alternate, static on even steps.  Returns the
-    trained parameters and one loss per iteration; raises DivergenceError
-    the moment anything goes non-finite.
+    time, so a bad video is reported before any later video is read.  The
+    static scenes take the first video's size, so one smaller than
+    MIN_CANVAS raises DatasetError naming it before the first iteration.
+    Static and dynamic iterations alternate, static on even steps.  Returns
+    the trained parameters and one loss per iteration; raises
+    DivergenceError the moment anything goes non-finite.
     """
     where = manifest.root / "manifest.txt"
     entries = manifest.split("train")
@@ -144,6 +148,9 @@ def train(manifest: DatasetManifest, config: TrainConfig, params: ModelParameter
                                f"the {config.n_prime} a training clip samples")
         videos.append((frames, downsample_mask(masks, downsample)))
     canvas = videos[0][0].shape[1]
+    if canvas < MIN_CANVAS:
+        raise DatasetError(f"{manifest.video_dir(entries[0])}: canvas {canvas} below the "
+                           f"{MIN_CANVAS} a static training scene needs")
 
     optimizer = SGD(params.named_tensors(), config.lr, config.momentum)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 17)))
@@ -301,12 +308,18 @@ def evaluate(manifest: DatasetManifest, params: ModelParameters, split="test",
 
     Predictions are binarized at MASK_THRESHOLD and compared at feature-grid
     resolution against majority-downsampled ground truth.  An empty split
-    raises DatasetError; a video whose frame size the model's downsample
-    factor does not divide raises CheckpointMismatchError before inference.
+    raises DatasetError, and so does COSEG_SPLIT, whose one-image videos are
+    co-segmentation groups that this does not score; a video whose frame
+    size the model's downsample factor does not divide raises
+    CheckpointMismatchError before inference.
     """
+    where = manifest.root / "manifest.txt"
+    if split == COSEG_SPLIT:
+        raise DatasetError(f"{where}: split {split!r} holds co-segmentation groups, "
+                           "which evaluate does not score")
     entries = manifest.split(split)
     if not entries:
-        raise DatasetError(f"{manifest.root / 'manifest.txt'}: split {split!r} is empty")
+        raise DatasetError(f"{where}: split {split!r} is empty")
     d = params.downsample
     rows = []
     for entry in entries:

@@ -7,9 +7,9 @@ only in a strict subset of frames.  Shapes are rasterized with hard edges on
 pixel centres so mask areas are exact.  All randomness derives from seeds;
 regenerating with the same seed reproduces every byte.  The scene constants
 DISTRACTOR_COUNT, FG_HALF_FRAC, DISTRACTOR_HALF_FRAC, MAX_STEP_FRAC,
-SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC and MIN_COLOR_DIST and the dataset
-sizes TRAIN_VIDEOS, TEST_VIDEOS and COSEG_IMAGES_PER_CLASS are fixed; each is
-described where it is set.
+SCALE_RANGE, NOISE_AMP, MIN_AREA_FRAC, MIN_COLOR_DIST and MIN_CANVAS and the
+dataset sizes TRAIN_VIDEOS, TEST_VIDEOS and COSEG_IMAGES_PER_CLASS are fixed;
+each is described where it is set.
 
 On disk each video is a directory ``<split>/<video_id>/`` beside
 ``manifest.txt`` with ``frames.ppm``, its T frames as P6 images back to back,
@@ -29,7 +29,8 @@ from .errors import FieldError, FormatError
 
 SHAPE_CLASSES = ("ellipse", "rectangle", "triangle")
 
-_SPLIT_STREAMS = {"train": 0, "test": 1, "coseg": 2}
+COSEG_SPLIT = "coseg"  # the split of co-segmentation images, one-frame videos
+_SPLIT_STREAMS = {"train": 0, "test": 1, COSEG_SPLIT: 2}
 
 DISTRACTOR_COUNT = 1  # other-class shapes per video and per static scene
 FG_HALF_FRAC = (0.16, 0.22)  # foreground base semi-axes, as canvas fractions
@@ -39,6 +40,7 @@ SCALE_RANGE = (0.7, 1.3)  # per-frame scale factor of the semi-axes
 NOISE_AMP = 0.03  # half-width of the uniform pixel noise, in [0, 1] intensity
 MIN_AREA_FRAC = 0.02  # smallest foreground area, as a fraction of the canvas area
 MIN_COLOR_DIST = 0.45  # smallest L1 distance of a shape colour from the background base
+MIN_CANVAS = 8  # smallest canvas side a video or a static scene is drawn on
 TRAIN_VIDEOS = 20  # videos in a generated train split
 TEST_VIDEOS = 5  # videos in a generated test split
 COSEG_IMAGES_PER_CLASS = 40  # co-segmentation images per shape class
@@ -49,8 +51,8 @@ MASKS_FILE = "masks.pgm"  # its T masks, P5 images back to back
 def _check_scene(canvas, shape_class):
     if shape_class not in SHAPE_CLASSES:
         raise ValueError(f"unknown shape class {shape_class!r}")
-    if canvas < 8:
-        raise FieldError("canvas", f"must be >= 8, got {canvas}")
+    if canvas < MIN_CANVAS:
+        raise FieldError("canvas", f"must be >= {MIN_CANVAS}, got {canvas}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class SyntheticVideoSpec:
     canvas: int = 64
 
     def __post_init__(self):
-        for name, floor in (("canvas", 8), ("num_frames", 1)):
+        for name, floor in (("canvas", MIN_CANVAS), ("num_frames", 1)):
             if getattr(self, name) < floor:
                 raise FieldError(name, f"must be >= {floor}, got {getattr(self, name)}")
 
@@ -187,7 +189,8 @@ def _other_classes(shape_class):
 
 def render_video(spec: SyntheticVideoSpec, shape_class, seed):
     """Frames in [0, 1] and exact boolean masks for one synthetic video whose
-    foreground is of ``shape_class``, drawn from ``seed`` alone."""
+    foreground is of ``shape_class``, drawn from ``seed`` alone.  A frame whose
+    foreground covers less than MIN_AREA_FRAC raises FieldError on ``canvas``."""
     _check_scene(spec.canvas, shape_class)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     canvas, n = spec.canvas, spec.num_frames
@@ -215,7 +218,8 @@ def render_video(spec: SyntheticVideoSpec, shape_class, seed):
                 frame[track.raster(rng)] = track.color
         fg_mask = fg.raster(rng)
         if fg_mask.sum() < min_area:
-            raise ValueError(f"foreground area {fg_mask.sum()} below {min_area:.0f} px in frame {t}")
+            raise FieldError("canvas", f"{canvas} draws a foreground of {fg_mask.sum()} px in "
+                                       f"frame {t}, below the floor of {min_area:g} px")
         frame[fg_mask] = fg.color
         frames[t] = np.clip(frame, 0.0, 1.0)
         masks[t] = fg_mask
@@ -270,8 +274,8 @@ def generate_dataset(out_dir, seed, num_frames=SyntheticVideoSpec.num_frames,
     all classes.  Co-seg images are stored as one-frame videos grouped by
     class in the manifest.  A negative seed raises FieldError before
     anything is created; so does a canvas or frame count outside
-    SyntheticVideoSpec's range.  A directory that cannot be written raises
-    OSError naming the path.
+    SyntheticVideoSpec's range.  A too small foreground (FieldError) or an
+    unwritable path (OSError) stops the run at that video, with no manifest.
     """
     if seed < 0:
         raise FieldError("seed", f"must be >= 0, got {seed}")
@@ -292,11 +296,11 @@ def generate_dataset(out_dir, seed, num_frames=SyntheticVideoSpec.num_frames,
     for cls in SHAPE_CLASSES:
         for _ in range(COSEG_IMAGES_PER_CLASS):
             frame, mask, _ = render_static_scene(
-                canvas, int(_video_seed(seed, "coseg", index)), shape_class=cls
+                canvas, int(_video_seed(seed, COSEG_SPLIT, index)), shape_class=cls
             )
             video_id = f"video_{index:04d}"
-            _write_video(root / "coseg" / video_id, frame[None], mask[None])
-            entries.append(ManifestEntry("coseg", video_id, 1, cls))
+            _write_video(root / COSEG_SPLIT / video_id, frame[None], mask[None])
+            entries.append(ManifestEntry(COSEG_SPLIT, video_id, 1, cls))
             index += 1
 
     manifest = DatasetManifest(root, entries)

@@ -53,6 +53,25 @@ def tiny_dataset(tmp_path_factory):
     return out
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "c.agnn", "--data", "d", "--n-prime", "abc"],
+        ["infer", "--checkpoint", "c.agnn", "--video-dir", "v", "--out", "o", "--task", "bogus"],
+        ["bogus"],
+        ["train", "--data", "d"],
+    ], ids=["bad-int", "bad-choice", "unknown-command", "missing-out"])
+    def test_usage_error_exit_1(self, capsys, argv):
+        # a typo in the command line exits as a bad option value does, not as an I/O error
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: agnnseg") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: agnnseg")
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = parse_config(None)
@@ -164,6 +183,16 @@ class TestConfig:
 
 
 class TestGenData:
+    def test_canvas_too_small_for_a_foreground_exit_1(self, tmp_path, capsys):
+        # canvas 8 is in range, but seed 0's sixth video draws a 1 px foreground
+        path = write_config(tmp_path / "c.cfg", canvas=8)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}: canvas 8 draws a foreground of 1 px in frame 17, "
+            "below the floor of 1.28 px\n")
+        assert not (out / "manifest.txt").exists()
+
     def test_gen_writes_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", **SMALL)
         out = tmp_path / "data"
@@ -250,6 +279,27 @@ class TestTrain:
         assert str(out) in capsys.readouterr().err
         assert calls == []
         assert out.read_text() == "x"
+
+    def test_frames_below_the_scene_canvas_exit_2_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # 4x4 frames fit downsample 4, but a static scene cannot be drawn at canvas 4
+        from agnnseg import pnm
+        from agnnseg import pipeline
+        monkeypatch.setattr(pipeline, "render_static_scene",
+                            lambda *args: pytest.fail("an iteration ran"))
+        data = tmp_path / "data"
+        manifest = cut_manifest(generate_dataset(data, seed=0, num_frames=3, canvas=32), train=2)
+        for entry in manifest.split("train"):
+            video = manifest.video_dir(entry)
+            pnm.write_ppm(video / "frames.ppm", np.zeros((3, 4, 4, 3), dtype=np.uint8))
+            pnm.write_pgm(video / "masks.pgm", np.zeros((3, 4, 4), dtype=bool))
+        cfg = write_config(tmp_path / "c.cfg", channels=4)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {data / 'train' / 'video_0000'}: canvas 4 below the 8 a static "
+            "training scene needs\n")
+        assert not out.exists()
 
     def test_too_few_train_videos_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -477,6 +527,41 @@ class TestEval:
         assert code == 4
         captured = capsys.readouterr()
         assert f"{nan_checkpoint}: tensor encoder.conv1.w contains NaN or Inf" in captured.err
+        assert captured.out == ""
+
+    def test_coseg_split_exit_2(self, tiny_dataset, tiny_checkpoint, capsys):
+        # its one-image videos are co-segmentation groups, not videos to score one by one
+        code = main(["eval", "--checkpoint", str(tiny_checkpoint), "--data", str(tiny_dataset),
+                     "--split", "coseg"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"i/o error: {tiny_dataset / 'manifest.txt'}: split 'coseg' holds co-segmentation "
+            "groups, which evaluate does not score\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("change, message", [
+        ("downsample", "meta.downsample must be 4 or 8, got 5"),
+        ("extra", "unexpected tensors ['extra.w']"),
+        ("shape", "tensor encoder.conv1.w has shape (1, 1, 3, 4), expected (3, 3, 3, 4)"),
+    ])
+    def test_checkpoint_that_builds_no_model_exit_4(self, tmp_path, tiny_dataset, capsys,
+                                                    change, message):
+        from agnnseg.checkpoint import write_checkpoint
+        params = init_model(channels=4, downsample=4, seed=0)
+        named = [(n, t.data) for n, t in params.named_tensors()]
+        meta = {"channels": 4, "downsample": 4, "k_iters": 2, "gated": 1}
+        if change == "downsample":
+            meta["downsample"] = 5
+        elif change == "extra":
+            named.append(("extra.w", np.ones(2)))
+        else:
+            named[0] = (named[0][0], np.zeros((1, 1, 3, 4)))
+        bad = tmp_path / f"{change}.agnn"
+        write_checkpoint(bad, named, meta=meta)
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(tiny_dataset)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"shape mismatch: {bad}: {message}\n"
         assert captured.out == ""
 
     def test_zero_n_prime_exit_1(self, tiny_dataset, tiny_checkpoint, capsys):
